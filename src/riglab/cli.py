@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import functools
 import math
 import os
 import sys
@@ -159,13 +161,12 @@ def cmd_trial(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:  # checked before --out is opened, which truncates it
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     with open(args.config) as f:
         config = SweepConfig.from_json(f)
     if args.seed is not None:
-        config = SweepConfig(grid=config.grid, replicates=config.replicates,
-                             master_seed=args.seed,
-                             small_threshold_coeff=config.small_threshold_coeff,
-                             output=config.output, format=config.format)
+        config = dataclasses.replace(config, master_seed=args.seed)
     out = args.out if args.out is not None else config.output
     fmt = args.format if args.format is not None else config.format
     print(f"# sweep: grid={list(config.grid)} replicates={config.replicates} "
@@ -221,24 +222,19 @@ def build_parser() -> _Parser:
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_Parser)
 
-    class _Sub:
-        # every subcommand shows its defaults in --help
-        def add_parser(self, name, **kwargs):
-            kwargs.setdefault("formatter_class",
-                              argparse.ArgumentDefaultsHelpFormatter)
-            return subparsers.add_parser(name, **kwargs)
+    # every subcommand shows its defaults in --help
+    add_parser = functools.partial(subparsers.add_parser,
+                                   formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-    sub = _Sub()
-
-    p = sub.add_parser("generate", help="sample a bipartite graph and dump it")
+    p = add_parser("generate", help="sample a bipartite graph and dump it")
     _add_model_flags(p)
     p.add_argument("--alpha", type=float, default=1.0, help="exponent in p")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("degree", help="degree pmf as CSV (degree,probability rows "
-                                      "plus a final tail row)")
+    p = add_parser("degree", help="degree pmf as CSV (degree,probability rows "
+                                  "plus a final tail row)")
     _add_model_flags(p)
     p.add_argument("--alpha", type=float, default=1.0, help="exponent in p")
     p.add_argument("--source", choices=["exact", "empirical", "limit"],
@@ -252,14 +248,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_degree)
 
-    p = sub.add_parser("rho", help="extinction probability / giant component fraction")
+    p = add_parser("rho", help="extinction probability / giant component fraction")
     _add_model_flags(p, with_n=False)
     p.add_argument("--alpha", type=float, default=1.0,
                    help="must be 1 for theory subcommands")
     p.set_defaults(func=cmd_rho)
 
-    p = sub.add_parser("tails", help="optimized exponential tail bounds for "
-                                     "i.i.d. degree sums")
+    p = add_parser("tails", help="optimized exponential tail bounds for "
+                                 "i.i.d. degree sums")
     _add_model_flags(p)
     p.add_argument("--alpha", type=float, default=1.0,
                    help="must be 1 for theory subcommands")
@@ -269,8 +265,8 @@ def build_parser() -> _Parser:
     p.add_argument("--direction", choices=["upper", "lower", "both"], default="both")
     p.set_defaults(func=cmd_tails)
 
-    p = sub.add_parser("branching", help="Monte Carlo extinction frequency vs "
-                                         "the fixed point")
+    p = add_parser("branching", help="Monte Carlo extinction frequency vs "
+                                     "the fixed point")
     _add_model_flags(p, with_n=False)
     p.add_argument("--alpha", type=float, default=1.0,
                    help="must be 1 for theory subcommands")
@@ -283,8 +279,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.set_defaults(func=cmd_branching)
 
-    p = sub.add_parser("trial", help="single trial: sample, project, census; "
-                                     "emits one CSV record")
+    p = add_parser("trial", help="single trial: sample, project, census; "
+                                 "emits one CSV record")
     _add_model_flags(p)
     p.add_argument("--alpha", type=float, default=1.0, help="exponent in p")
     p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -296,7 +292,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_trial)
 
-    p = sub.add_parser("sweep", help="run a config-driven replicate sweep")
+    p = add_parser("sweep", help="run a config-driven replicate sweep")
     p.add_argument("--config", required=True, help="JSON sweep config path")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config's master_seed")
@@ -309,7 +305,7 @@ def build_parser() -> _Parser:
                    help="record wall-clock elapsed_ms (breaks byte reproducibility)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("summarize", help="aggregate a records CSV per grid point")
+    p = add_parser("summarize", help="aggregate a records CSV per grid point")
     p.add_argument("--records", required=True, help="records CSV path")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="output path (default stdout)")

@@ -6,6 +6,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .model import SimpleGraph
 
@@ -44,28 +46,11 @@ class ExplorationTrace:
 
 
 def census(g: SimpleGraph) -> ComponentCensus:
-    """Exact component sizes via union-find (path halving, union by size)."""
-    parent = list(range(g.n))
-    size = [1] * g.n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in zip(g.u.tolist(), g.v.tolist()):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
-
-    sizes = [size[i] for i in range(g.n) if find(i) == i]
-    sizes.sort(reverse=True)
-    return ComponentCensus(sizes=np.asarray(sizes, dtype=np.int64), n=g.n)
+    """Exact component sizes via scipy's connected_components on the edge list."""
+    adj = coo_matrix((np.ones(g.edge_count, dtype=np.int8), (g.u, g.v)), shape=(g.n, g.n))
+    _, labels = connected_components(adj, directed=False)
+    sizes = -np.sort(-np.bincount(labels))
+    return ComponentCensus(sizes=sizes, n=g.n)
 
 
 def explore(g: SimpleGraph, start: int) -> ExplorationTrace:

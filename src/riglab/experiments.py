@@ -12,7 +12,8 @@ import json
 import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass, fields
 from typing import IO, Iterable
 
 import numpy as np
@@ -41,8 +42,20 @@ __all__ = [
 
 DEFAULT_SMALL_THRESHOLD_COEFF = 3.0
 
-RECORD_FIELDS = ("n", "beta", "gamma", "mu", "replicate", "seed", "largest",
-                 "second", "small_fraction", "eta", "degree_mean", "elapsed_ms")
+# A trial holds its pair keys, about 50 bytes each at peak, so this budget
+# keeps one trial near 2.5 GB.
+PAIR_KEY_BUDGET = 50_000_000
+
+
+def _check_pair_budget(params: ModelParams) -> None:
+    """Raise ValueError when one trial's expected pair-key count,
+    m*C(n,2)*p^2, exceeds PAIR_KEY_BUDGET."""
+    expected = params.m * (params.n * (params.n - 1) / 2.0) * params.p ** 2
+    if expected > PAIR_KEY_BUDGET:
+        raise ValueError(
+            f"expected {expected:.3g} pair keys (n={params.n}, beta={params.beta}, "
+            f"gamma={params.gamma}, alpha={params.alpha}) exceeds the budget of "
+            f"{PAIR_KEY_BUDGET:.3g}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +75,8 @@ class SweepConfig:
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         for n, beta, gamma in self.grid:
-            derive_params(n, beta, gamma)  # raises on invalid triples
+            # raises on invalid or oversized triples
+            _check_pair_budget(derive_params(n, beta, gamma))
 
     @classmethod
     def from_json(cls, f: IO[str]) -> "SweepConfig":
@@ -108,6 +122,12 @@ class ExperimentRecord:
     elapsed_ms: float | None
 
 
+RECORD_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
+_CSV_PARSERS = {"int": int, "float": float,
+                "float | None": lambda s: float(s) if s else None}
+_RECORD_PARSERS = tuple(_CSV_PARSERS[f.type] for f in fields(ExperimentRecord))
+
+
 @dataclass(frozen=True)
 class SweepResult:
     records: tuple[ExperimentRecord, ...]
@@ -131,7 +151,12 @@ def run_trial(params: ModelParams, rng: np.random.Generator,
               small_threshold_coeff: float = DEFAULT_SMALL_THRESHOLD_COEFF,
               replicate: int = 0, seed: int = 0,
               live_timing: bool = False) -> ExperimentRecord:
-    """Sample one graph, project it, and measure every recorded observable."""
+    """Sample one graph, project it, and measure every recorded observable.
+
+    Raises ValueError, before sampling, when the expected pair-key count
+    exceeds PAIR_KEY_BUDGET.
+    """
+    _check_pair_budget(params)
     t0 = time.perf_counter()
     b = sample_bipartite(params, rng)
     g, eta = project_with_excess(b)
@@ -168,8 +193,11 @@ def run_sweep(config: SweepConfig, workers: int = 1, live_timing: bool = False,
     Output order is canonical (grid order, then replicate index) regardless
     of worker count; with a `sink`, CSV rows are flushed incrementally as
     soon as they are next in canonical order.  Per-trial failures are
-    collected, not raised.
+    collected, not raised; when a worker process dies, every task that had
+    not finished is recorded as failed.  Raises ValueError if workers < 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(config.master_seed, gi, rep, n, beta, gamma,
               config.small_threshold_coeff, live_timing)
              for gi, (n, beta, gamma) in enumerate(config.grid)
@@ -191,6 +219,7 @@ def run_sweep(config: SweepConfig, workers: int = 1, live_timing: bool = False,
                 sink.write(_record_row(rec) + "\n")
             flushed += 1
 
+    workers = min(workers, len(tasks))
     if workers <= 1:
         for t in tasks:
             gi, rep, rec, err = _trial_task(t)
@@ -198,11 +227,16 @@ def run_sweep(config: SweepConfig, workers: int = 1, live_timing: bool = False,
             flush_ready()
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {pool.submit(_trial_task, t) for t in tasks}
+            task_of = {pool.submit(_trial_task, t): t for t in tasks}
+            pending = set(task_of)
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    gi, rep, rec, err = fut.result()
+                    try:
+                        gi, rep, rec, err = fut.result()
+                    except BrokenProcessPool:
+                        gi, rep = task_of[fut][1:3]
+                        rec, err = None, "worker process died"
                     results[(gi, rep)] = (rec, err)
                 flush_ready()
 
@@ -305,24 +339,25 @@ def records_to_csv(records: Iterable[ExperimentRecord], f: IO[str]) -> None:
 
 
 def records_from_csv(f: IO[str]) -> list[ExperimentRecord]:
+    """Parse a records CSV; raises ValueError naming the line of a row with
+    the wrong field count or a value that does not parse."""
     header = f.readline().strip()
     if header != ",".join(RECORD_FIELDS):
         raise ValueError(f"unexpected CSV header: {header!r}")
     out = []
-    for line in f:
+    for lineno, line in enumerate(f, start=2):
         line = line.rstrip("\n")
         if not line:
             continue
         vals = line.split(",")
-        d = dict(zip(RECORD_FIELDS, vals))
-        out.append(ExperimentRecord(
-            n=int(d["n"]), beta=float(d["beta"]), gamma=float(d["gamma"]),
-            mu=float(d["mu"]), replicate=int(d["replicate"]), seed=int(d["seed"]),
-            largest=int(d["largest"]), second=int(d["second"]),
-            small_fraction=float(d["small_fraction"]), eta=int(d["eta"]),
-            degree_mean=float(d["degree_mean"]),
-            elapsed_ms=float(d["elapsed_ms"]) if d["elapsed_ms"] else None,
-        ))
+        if len(vals) != len(RECORD_FIELDS):
+            raise ValueError(f"records CSV line {lineno}: expected "
+                             f"{len(RECORD_FIELDS)} fields, got {len(vals)}")
+        try:
+            out.append(ExperimentRecord(*(parse(v) for parse, v
+                                          in zip(_RECORD_PARSERS, vals))))
+        except ValueError as exc:
+            raise ValueError(f"records CSV line {lineno}: {exc}") from None
     return out
 
 

@@ -263,8 +263,9 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> Bipa
 
     Per auxiliary vertex: degree d ~ Binomial(n, p), then a uniform random
     d-subset of the vertices.  Cost O(m + total edges) rather than n*m coin
-    flips.  Subsets come from one bulk draw with per-segment rejection repair;
-    segments with d >= n/2 fall back to a partial permutation.
+    flips.  Subsets come from one bulk draw; only segments whose draw held a
+    duplicate are repaired one by one, and segments with d >= n/2 fall back
+    to a partial permutation.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
@@ -277,29 +278,21 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> Bipa
     members = np.empty(int(offsets[-1]), dtype=np.int64)
 
     heavy = 2 * degrees >= n
-    light_ids = np.flatnonzero(~heavy & (degrees > 0))
-    heavy_ids = np.flatnonzero(heavy)
-
-    if light_ids.size:
-        light_deg = degrees[light_ids]
-        flat = rng.integers(0, n, size=int(light_deg.sum()))
-        seg = np.repeat(np.arange(light_ids.size, dtype=np.int64), light_deg)
-        keys = seg * n + flat
-        srt = np.sort(keys)  # segment-major keys: global sort == per-segment sort
-        dup_segs = np.unique(srt[1:][srt[1:] == srt[:-1]] // n)
-        sorted_vals = srt - seg * n
-        light_off = np.zeros(light_ids.size + 1, dtype=np.int64)
-        np.cumsum(light_deg, out=light_off[1:])
-        dirty = np.zeros(light_ids.size, dtype=bool)
-        dirty[dup_segs] = True
-        for i, k in enumerate(light_ids):
-            lo, hi = light_off[i], light_off[i + 1]
-            if dirty[i]:
-                members[offsets[k]:offsets[k + 1]] = _fill_distinct(
-                    rng, n, int(degrees[k]), flat[lo:hi])
-            else:
-                members[offsets[k]:offsets[k + 1]] = sorted_vals[lo:hi]
-    for k in heavy_ids:
+    light_deg = np.where(heavy, 0, degrees)
+    light_off = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(light_deg, out=light_off[1:])
+    flat = rng.integers(0, n, size=int(light_off[-1]))  # size 0 draws nothing
+    seg = np.repeat(np.arange(m, dtype=np.int64), light_deg)
+    srt = np.sort(seg * n + flat)  # segment-major keys: global sort == per-segment sort
+    members[np.repeat(~heavy, degrees)] = srt - seg * n
+    dirty = np.zeros(m, dtype=bool)
+    dirty[seg[1:][srt[1:] == srt[:-1]]] = True
+    # the repairs draw from rng in ascending segment order, then the heavy
+    # segments do; this order fixes the random stream
+    for k in np.flatnonzero(dirty):
+        members[offsets[k]:offsets[k + 1]] = _fill_distinct(
+            rng, n, int(degrees[k]), flat[light_off[k]:light_off[k + 1]])
+    for k in np.flatnonzero(heavy):
         d = int(degrees[k])
         members[offsets[k]:offsets[k + 1]] = np.sort(rng.permutation(n)[:d])
     return BipartiteGraph(n=n, offsets=offsets, members=members)
@@ -314,56 +307,53 @@ def sample_bipartite(params: ModelParams, rng: np.random.Generator) -> Bipartite
 # projections
 # ---------------------------------------------------------------------------
 
-_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _pair_keys(b: BipartiteGraph) -> np.ndarray:
     """All vertex pairs sharing an auxiliary, one key per sharing auxiliary.
 
-    Keys encode (i, j), i < j, as i*n + j.  Lists of equal length are batched
-    so the work is O(total pairs) with a handful of numpy calls.
+    Keys encode (i, j), i < j, as i*n + j.  Each member position is paired
+    with every later position of its list in one repeat/arange pass; lists
+    are strictly increasing, so the left member is the smaller one.
     """
-    n = np.int64(b.n)
-    degs = b.aux_degrees()
-    chunks: list[np.ndarray] = []
-    for d in np.unique(degs):
-        d = int(d)
-        if d < 2:
-            continue
-        ids = np.flatnonzero(degs == d)
-        rows = b.members[b.offsets[ids][:, None] + np.arange(d)[None, :]]
-        if d not in _TRIU_CACHE:
-            _TRIU_CACHE[d] = np.triu_indices(d, 1)
-        iu, ju = _TRIU_CACHE[d]
-        chunks.append(rows[:, iu].ravel() * n + rows[:, ju].ravel())
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+    pos = np.arange(b.edge_count, dtype=np.int64)
+    later = np.repeat(b.offsets[1:], b.aux_degrees()) - pos - 1
+    first = np.cumsum(later) - later  # index of each position's first pair
+    left = np.repeat(pos, later)
+    right = np.arange(left.size, dtype=np.int64) + np.repeat(pos + 1 - first, later)
+    return b.members[left] * b.n + b.members[right]
+
+
+def _pair_counts(b: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct pair keys in ascending order, with the number of auxiliaries
+    each pair shares: one sort, then run starts by a neighbour compare."""
+    keys = np.sort(_pair_keys(b))
+    run_start = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    return keys[starts], np.diff(starts, append=keys.size)
 
 
 def project_simple(b: BipartiteGraph) -> SimpleGraph:
     """Deduplicated one-mode projection: i ~ j iff they share an auxiliary."""
-    keys = np.unique(_pair_keys(b))
+    keys, _ = _pair_counts(b)
     return SimpleGraph(b.n, keys // b.n, keys % b.n)
 
 
 def project_multi(b: BipartiteGraph) -> MultiGraph:
     """Multigraph projection: multiplicity = number of shared auxiliaries."""
-    keys, counts = np.unique(_pair_keys(b), return_counts=True)
+    keys, counts = _pair_counts(b)
     return MultiGraph(n=b.n, u=keys // b.n, v=keys % b.n, counts=counts)
 
 
 def multi_edge_excess(b: BipartiteGraph) -> int:
     """Multigraph edge count (with multiplicity) minus simple edge count."""
-    keys = _pair_keys(b)
-    return int(keys.size - np.unique(keys).size)
+    keys, counts = _pair_counts(b)
+    return int(counts.sum() - keys.size)
 
 
 def project_with_excess(b: BipartiteGraph) -> tuple[SimpleGraph, int]:
     """Simple projection plus the multi-edge excess, sharing one pair pass."""
-    keys = _pair_keys(b)
-    uniq = np.unique(keys)
-    return SimpleGraph(b.n, uniq // b.n, uniq % b.n), int(keys.size - uniq.size)
+    keys, counts = _pair_counts(b)
+    return SimpleGraph(b.n, keys // b.n, keys % b.n), int(counts.sum() - keys.size)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ __all__ = [
     "TailBound",
     "limit_degree_gf",
     "solve_extinction",
-    "ConstantOffspring",
     "CompoundPoissonOffspring",
     "RigDegreeOffspring",
     "branching_total",
@@ -100,21 +99,6 @@ def solve_extinction(beta: float, gamma: float, tol: float = 1e-13,
 # ---------------------------------------------------------------------------
 # branching processes
 # ---------------------------------------------------------------------------
-
-class ConstantOffspring:
-    """Deterministic offspring count, mostly for tests."""
-
-    def __init__(self, value: int):
-        self.value = int(value)
-
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value, dtype=np.int64)
-
-    def total_children(self, rng, pop: int) -> int:
-        return self.value * pop
-
 
 class CompoundPoissonOffspring:
     """Offspring distributed as the compound Poisson limit."""

@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+import riglab.experiments as experiments
 from riglab.cli import main
 from riglab.degree import DegreePmf, rig_pmf
 from riglab.experiments import records_from_csv
 from riglab.model import read_bipartite
+from test_experiments import _dying_task
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +216,51 @@ class TestTrialSweepSummarize:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
         assert code == 1
         assert "exceeds 1" in err
+
+    def test_trial_over_pair_budget_exits_one(self, capsys, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled despite the pair budget")
+
+        monkeypatch.setattr(experiments, "sample_bipartite", no_sampling)
+        code, out, err = run_cli(capsys, "trial", "--n", "100000", "--beta", "1",
+                                 "--gamma", "1", "--alpha", "0")
+        assert code == 1
+        assert "pair keys" in err and out == ""
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_workers_below_one_exits_one(self, capsys, tmp_path, workers):
+        cfg_path = tmp_path / "s.json"
+        cfg_path.write_text(json.dumps({"grid": [[100, 1.0, 1.0]],
+                                        "replicates": 1, "master_seed": 1}))
+        out_path = tmp_path / "kept.csv"
+        out_path.write_text("kept\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path),
+                                 "--out", str(out_path), "--workers", workers)
+        assert code == 1
+        assert "workers" in err and out == ""
+        assert out_path.read_text() == "kept\n"
+
+    def test_sweep_worker_crash_exits_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_trial_task", _dying_task)
+        cfg_path = tmp_path / "s.json"
+        cfg_path.write_text(json.dumps({"grid": [[50, 1.0, 1.0]],
+                                        "replicates": 4, "master_seed": 3}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path),
+                                 "--workers", "2")
+        assert code == 2
+        records = records_from_csv(io.StringIO(out))
+        lost = err.count("worker process died")
+        assert lost >= 1 and len(records) + lost == 4
+        assert f"{len(records)} records, {lost} failures" in err
+
+    @pytest.mark.parametrize("row", ["1000,1.0",
+                                     "100,1.0,2.0,4.0,0,seven,60,5,0.35,1,3.9,"])
+    def test_summarize_malformed_exits_one(self, capsys, tmp_path, row):
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(experiments.RECORD_FIELDS) + "\n" + row + "\n")
+        code, _, err = run_cli(capsys, "summarize", "--records", str(path))
+        assert code == 1
+        assert "line 2" in err
 
     def test_sweep_json_format(self, capsys, tmp_path):
         config = {"grid": [[100, 1.0, 1.0]], "replicates": 2, "master_seed": 5,

@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
 import math
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,7 +13,36 @@ from riglab.experiments import (ExperimentRecord, SweepConfig, records_from_csv,
                                 records_to_csv, records_to_json, run_sweep,
                                 run_trial, summarize, summary_to_csv,
                                 summary_to_json, trial_stream)
-from riglab.model import derive_params
+from riglab.model import derive_params, sample_bipartite
+
+_real_trial_task = experiments._trial_task
+
+
+def _dying_task(args):
+    # module level, so that the pool can pickle it by reference
+    if args[2] == 1:  # replicate
+        os._exit(1)
+    return _real_trial_task(args)
+
+
+class _RecordingPool:
+    """Executor stand-in: records max_workers and runs tasks in-process."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
 
 
 def small_config(**overrides):
@@ -85,6 +117,86 @@ class TestRunTrial:
         assert rec.elapsed_ms > 0.0
 
 
+# Values captured from the light/heavy sampler with its per-auxiliary loop:
+# sha256 of offsets and members (little-endian int64), the next
+# rng.integers(0, 2**62) draw after sampling, and the run_trial record, all on
+# trial_stream(7, 0, 0).  Any change to them is a change of the random stream.
+GOLDEN_SEED = 16920295385781661272
+GOLDEN = [
+    # dirty light segments: 4 bulk draws held a duplicate
+    ((100_000, 1.0, 2.0, 1.0),
+     "171636835106b80803b1533d79ce4383707e1af70baacf5f39efb4543bf18355",
+     2804425362917302470, dict(largest=79556, second=12, small_fraction=0.20444,
+                               eta=7, degree_mean=3.9835)),
+    # heavy segments only
+    ((10, 40.0, 9.0, 1.0),
+     "8db16c7ce197ec3b0a518031d437aeb6c13fe80f0b103c0e2bb4c90ae817c129",
+     4272945185510488661, dict(largest=10, second=0, small_fraction=0.0,
+                               eta=14636, degree_mean=9.0)),
+    # dirty light segments repaired before heavy ones
+    ((10, 3.0, 5.0, 1.0),
+     "387e5315998f4c59b907b27d5678145d2bfe4692db93bd53d8f33feefb82d5fd",
+     2847315815747494274, dict(largest=10, second=0, small_fraction=0.0,
+                               eta=290, degree_mean=9.0)),
+    # alpha != 1
+    ((1000, 0.5, 1.0, 0.5),
+     "a3a198dce3445f5693298f17a6fb1e6a3ae54b1a5f3f48bb4af6a75dc7208d64",
+     2161530487585014579, dict(largest=946, second=1, small_fraction=0.054,
+                               eta=66, degree_mean=15.314)),
+    # p = 0
+    ((100, 1.0, 0.0, 1.0),
+     "33e15ec51f02d31aedb153489237b7938676d30e5a211a4498ae4910930e1a86",
+     2162039049788940267, dict(largest=1, second=1, small_fraction=1.0,
+                               eta=0, degree_mean=0.0)),
+]
+
+
+class TestGoldenStream:
+    @pytest.mark.parametrize("point,digest,next_draw,observed", GOLDEN,
+                             ids=[str(g[0]) for g in GOLDEN])
+    def test_pinned_stream(self, point, digest, next_draw, observed):
+        params = derive_params(*point)
+        _, rng = trial_stream(7, 0, 0)
+        b = sample_bipartite(params, rng)
+        got = hashlib.sha256(b.offsets.astype("<i8").tobytes()
+                             + b.members.astype("<i8").tobytes()).hexdigest()
+        assert got == digest
+        assert int(rng.integers(0, 2 ** 62)) == next_draw
+        seed_id, rng = trial_stream(7, 0, 0)
+        assert seed_id == GOLDEN_SEED
+        rec = run_trial(params, rng, replicate=0, seed=seed_id)
+        assert rec == ExperimentRecord(n=params.n, beta=params.beta,
+                                       gamma=params.gamma, mu=params.mu,
+                                       replicate=0, seed=GOLDEN_SEED,
+                                       elapsed_ms=None, **observed)
+
+
+class TestPairBudget:
+    def test_trial_refused_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled despite the pair budget")
+
+        monkeypatch.setattr(experiments, "sample_bipartite", no_sampling)
+        # E[pair keys] = m*C(n,2)*p^2 ~ 5e9
+        params = derive_params(100_000, 1.0, 1.0, alpha=0.0)
+        with pytest.raises(ValueError, match="pair keys"):
+            run_trial(params, np.random.default_rng(0))
+
+    def test_estimate_is_m_choose2_p2(self, monkeypatch):
+        # m=100, C(100,2)=4950, p=0.02: 198 expected pair keys
+        params = derive_params(100, 1.0, 2.0)
+        monkeypatch.setattr(experiments, "PAIR_KEY_BUDGET", 197)
+        with pytest.raises(ValueError, match="pair keys"):
+            run_trial(params, np.random.default_rng(0))
+        monkeypatch.setattr(experiments, "PAIR_KEY_BUDGET", 199)
+        run_trial(params, np.random.default_rng(0))
+
+    def test_sweep_config_refused(self):
+        # alpha = 1: E[pair keys] = mu*n/2 = 6.05e7
+        with pytest.raises(ValueError, match="pair keys"):
+            SweepConfig(grid=((1_000_000, 1.0, 11.0),), replicates=1, master_seed=1)
+
+
 class TestRunSweep:
     def test_record_count_and_seeds(self):
         config = SweepConfig(grid=((100, 1.0, 1.0),), replicates=3, master_seed=1)
@@ -124,6 +236,35 @@ class TestRunSweep:
         assert len(result.failures) == 1
         assert result.failures[0]["replicate"] == 1
         assert "injected" in result.failures[0]["error"]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(small_config(), workers=workers)
+
+    @pytest.mark.parametrize("workers,expected", [(64, 6), (3, 3)])
+    def test_workers_clamped_to_tasks(self, monkeypatch, workers, expected):
+        monkeypatch.setattr(_RecordingPool, "max_workers", [])
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+        config = small_config()  # 2 grid points x 3 replicates
+        assert sweep_csv(config, workers=workers) == sweep_csv(config)
+        assert _RecordingPool.max_workers == [expected]
+
+    def test_worker_crash_accounted(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_trial_task", _dying_task)
+        config = SweepConfig(grid=((50, 1.0, 1.0),), replicates=4, master_seed=3)
+        buf = io.StringIO()
+        result = run_sweep(config, workers=2, sink=buf)
+        done = [r.replicate for r in result.records]
+        lost = [f["replicate"] for f in result.failures]
+        assert sorted(done + lost) == [0, 1, 2, 3]
+        assert 1 in lost
+        assert all(f["grid_index"] == 0 for f in result.failures)
+        assert all(f["error"] == "worker process died" for f in result.failures)
+        assert done == sorted(done)
+        direct = io.StringIO()
+        records_to_csv(result.records, direct)
+        assert buf.getvalue() == direct.getvalue()
 
     def test_sink_matches_records(self):
         config = small_config(replicates=2)
@@ -173,6 +314,15 @@ class TestSerialization:
     def test_elapsed_blank_by_default(self):
         out = sweep_csv(small_config(replicates=1))
         assert all(line.endswith(",") for line in out.splitlines()[1:])
+
+    @pytest.mark.parametrize("row,line", [
+        ("1000,1.0", 2),
+        ("100,1.0,2.0,4.0,0,7,60,5,0.35,1,3.9,\n100,1.0,2.0,4.0,1,8,sixty,5,0.35,1,3.9,", 3),
+    ])
+    def test_malformed_row_names_line(self, row, line):
+        text = ",".join(experiments.RECORD_FIELDS) + "\n" + row + "\n"
+        with pytest.raises(ValueError, match=f"line {line}"):
+            records_from_csv(io.StringIO(text))
 
     def test_json_records(self):
         result = run_sweep(small_config(replicates=1))

@@ -7,14 +7,28 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from riglab.degree import CompoundPoissonSpec, rig_degree_sample, rig_gf, rimg_log_gf
-from riglab.theory import (CompoundPoissonOffspring, ConstantOffspring,
-                           RigDegreeOffspring, branching_total, chernoff_lower,
-                           chernoff_upper, extinction_mc, limit_degree_gf,
-                           solve_extinction)
+from riglab.theory import (CompoundPoissonOffspring, RigDegreeOffspring,
+                           branching_total, chernoff_lower, chernoff_upper,
+                           extinction_mc, limit_degree_gf, solve_extinction)
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+class ConstantOffspring:
+    """Deterministic offspring count."""
+
+    def __init__(self, value: int):
+        self.value = int(value)
+
+    def sample(self, rng, size=None):
+        if size is None:
+            return self.value
+        return np.full(size, self.value, dtype=np.int64)
+
+    def total_children(self, rng, pop: int) -> int:
+        return self.value * pop
 
 
 # ---------------------------------------------------------------------------
