@@ -112,6 +112,7 @@ def cmd_rho(args) -> int:
     print(f"rho {r.rho!r}")
     print(f"giant_fraction {1.0 - r.rho!r}")
     print(f"residual {r.residual!r}")
+    print(f"error_bound {r.error_bound!r}")
     print(f"iterations {r.iterations}")
     print(f"regime {r.regime}")
     return 0

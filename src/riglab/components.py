@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix, get_index_dtype
 from scipy.sparse.csgraph import connected_components
 
 from .model import SimpleGraph
@@ -46,8 +46,20 @@ class ExplorationTrace:
 
 
 def census(g: SimpleGraph) -> ComponentCensus:
-    """Exact component sizes via scipy's connected_components on the edge list."""
-    adj = coo_matrix((np.ones(g.edge_count, dtype=np.int8), (g.u, g.v)), shape=(g.n, g.n))
+    """Exact component sizes via scipy's connected_components.
+
+    Relies on SimpleGraph's invariant that the edges are sorted by (u, v):
+    then v, in order, is the column list of a CSR matrix with one row per u,
+    and the matrix is built without a COO detour.  The data is float64, the
+    dtype connected_components works in, so scipy makes no converted copy.
+    The index dtype is chosen as scipy chooses it, int32 while that suffices
+    and int64 from n or edge count 2**31 on, so no index can overflow.
+    """
+    idx = get_index_dtype(maxval=max(g.n, g.edge_count))
+    indptr = np.zeros(g.n + 1, dtype=idx)
+    np.cumsum(np.bincount(g.u, minlength=g.n), out=indptr[1:])
+    adj = csr_matrix((np.ones(g.edge_count), g.v.astype(idx, copy=False), indptr),
+                     shape=(g.n, g.n))
     _, labels = connected_components(adj, directed=False)
     sizes = -np.sort(-np.bincount(labels))
     return ComponentCensus(sizes=sizes, n=g.n)

@@ -10,11 +10,13 @@ import math
 from dataclasses import dataclass
 from typing import IO
 
-import mpmath
 import numpy as np
-from scipy import stats
 
 from .model import project_simple, sample_aux_lists
+
+# scipy.stats and mpmath are imported inside the functions that use them:
+# together they add about 40 MiB and 0.7 s to `import riglab`, and no trial,
+# sweep or summary needs them.
 
 __all__ = [
     "DegreePmf",
@@ -129,6 +131,8 @@ def rig_gf(m: int, n: int, p: float, z: float) -> float:
         raise ValueError(f"z must be in [0,1], got {z}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
+    from scipy import stats
+
     j = np.arange(n)
     w = stats.binom.pmf(j, n - 1, z)
     e = n - 1 - j
@@ -147,6 +151,8 @@ def _rig_pmf_exact(m: int, n: int, p: float) -> DegreePmf:
     F_j = [1-p+p(1-p)^(n-1-j)]^m.  Alternating, so run under enough digits
     that the cancellation (up to ~3^n between term and result) is harmless.
     """
+    import mpmath
+
     dps = 30 + int(0.5 * n) + 10
     with mpmath.workdps(dps):
         mp_p = mpmath.mpf(p)
@@ -264,6 +270,8 @@ def cpoisson_pmf(spec: CompoundPoissonSpec, kmax: int) -> DegreePmf:
         probs = np.zeros(kmax + 1)
         probs[0] = 1.0
         return DegreePmf(probs)
+    from scipy import stats
+
     jmax = int(stats.poisson.ppf(1.0 - 1e-12, l1)) + 1
     js = np.arange(jmax + 1)
     w = stats.poisson.pmf(js, l1)
@@ -330,6 +338,8 @@ def rimg_pmf(m: int, n: int, p: float, kmax: int | None = None) -> DegreePmf:
     top = m * (n - 1)
     if kmax is None:
         kmax = top
+    from scipy import stats
+
     ks = np.arange(kmax + 1)
     a = np.arange(m + 1)
     w = stats.binom.pmf(a, m, p)

@@ -42,8 +42,8 @@ __all__ = [
 
 DEFAULT_SMALL_THRESHOLD_COEFF = 3.0
 
-# A trial holds its pair keys, about 50 bytes each at peak, so this budget
-# keeps one trial near 2.5 GB.
+# A trial's traced peak is about 46 bytes per pair key (46 and 42 at
+# n = 10^6, gamma = 2 and 4), so this budget keeps one trial near 2.3 GB.
 PAIR_KEY_BUDGET = 50_000_000
 
 
@@ -160,6 +160,7 @@ def run_trial(params: ModelParams, rng: np.random.Generator,
     t0 = time.perf_counter()
     b = sample_bipartite(params, rng)
     g, eta = project_with_excess(b)
+    del b  # the bipartite graph is not needed past the projection
     c = census(g)
     threshold = max(1, math.ceil(small_threshold_coeff * math.log(params.n))) \
         if params.n > 1 else 1

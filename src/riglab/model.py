@@ -272,24 +272,36 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> Bipa
     if m == 0 or p == 0.0:
         return BipartiteGraph(n=n, offsets=np.zeros(m + 1, dtype=np.int64),
                               members=np.empty(0, dtype=np.int64))
-    degrees = rng.binomial(n, p, size=m).astype(np.int64)
+    degrees = rng.binomial(n, p, size=m).astype(np.int64, copy=False)
     offsets = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
-    members = np.empty(int(offsets[-1]), dtype=np.int64)
 
     heavy = 2 * degrees >= n
-    light_deg = np.where(heavy, 0, degrees)
-    light_off = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(light_deg, out=light_off[1:])
+    any_heavy = bool(heavy.any())
+    if any_heavy:
+        light_deg = np.where(heavy, 0, degrees)
+        light_off = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(light_deg, out=light_off[1:])
+    else:
+        light_deg, light_off = degrees, offsets
     flat = rng.integers(0, n, size=int(light_off[-1]))  # size 0 draws nothing
-    seg = np.repeat(np.arange(m, dtype=np.int64), light_deg)
-    srt = np.sort(seg * n + flat)  # segment-major keys: global sort == per-segment sort
-    members[np.repeat(~heavy, degrees)] = srt - seg * n
-    dirty = np.zeros(m, dtype=bool)
-    dirty[seg[1:][srt[1:] == srt[:-1]]] = True
+    # segment-major keys k*n + x: one global sort sorts every segment
+    keys = np.repeat(np.arange(m, dtype=np.int64), light_deg)
+    keys *= n
+    keys += flat
+    keys.sort()
+    # equal keys lie in one segment: the position of a duplicate names it
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    dirty = np.unique(np.searchsorted(light_off, dup, side="right") - 1)
+    np.remainder(keys, n, out=keys)
+    if any_heavy:
+        members = np.empty(int(offsets[-1]), dtype=np.int64)
+        members[np.repeat(~heavy, degrees)] = keys
+    else:
+        members = keys
     # the repairs draw from rng in ascending segment order, then the heavy
     # segments do; this order fixes the random stream
-    for k in np.flatnonzero(dirty):
+    for k in dirty:
         members[offsets[k]:offsets[k + 1]] = _fill_distinct(
             rng, n, int(degrees[k]), flat[light_off[k]:light_off[k + 1]])
     for k in np.flatnonzero(heavy):
@@ -312,48 +324,78 @@ def _pair_keys(b: BipartiteGraph) -> np.ndarray:
 
     Keys encode (i, j), i < j, as i*n + j.  Each member position is paired
     with every later position of its list in one repeat/arange pass; lists
-    are strictly increasing, so the left member is the smaller one.
+    are strictly increasing, so the left member is the smaller one.  Each
+    temporary is freed as soon as it has been used, so at most two arrays of
+    one entry per key are alive at a time.
     """
     pos = np.arange(b.edge_count, dtype=np.int64)
-    later = np.repeat(b.offsets[1:], b.aux_degrees()) - pos - 1
-    first = np.cumsum(later) - later  # index of each position's first pair
-    left = np.repeat(pos, later)
-    right = np.arange(left.size, dtype=np.int64) + np.repeat(pos + 1 - first, later)
-    return b.members[left] * b.n + b.members[right]
+    later = np.repeat(b.offsets[1:], b.aux_degrees())
+    later -= pos
+    later -= 1
+    # the pairs of position i start at index cumsum(later)[i] - later[i];
+    # a pair's index plus shift[i] is its right position
+    shift = np.cumsum(later)
+    shift -= later
+    np.subtract(pos, shift, out=shift)
+    shift += 1
+    del pos
+    right = np.repeat(shift, later)
+    del shift
+    right += np.arange(right.size, dtype=np.int64)
+    keys = b.members[right]
+    del right
+    left = np.repeat(b.members, later)
+    del later
+    left *= b.n
+    left += keys
+    return left
 
 
-def _pair_counts(b: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct pair keys in ascending order, with the number of auxiliaries
-    each pair shares: one sort, then run starts by a neighbour compare."""
-    keys = np.sort(_pair_keys(b))
-    run_start = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
-    return keys[starts], np.diff(starts, append=keys.size)
+def _sorted_pairs(b: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Pair keys in ascending order, sorted in place, and the mask of the
+    first key of each run of equal keys."""
+    keys = _pair_keys(b)
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys, first
+
+
+def _split_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys // n, keys % n); the quotient overwrites `keys`."""
+    v = keys % n
+    keys //= n
+    return keys, v
 
 
 def project_simple(b: BipartiteGraph) -> SimpleGraph:
     """Deduplicated one-mode projection: i ~ j iff they share an auxiliary."""
-    keys, _ = _pair_counts(b)
-    return SimpleGraph(b.n, keys // b.n, keys % b.n)
+    return project_with_excess(b)[0]
 
 
 def project_multi(b: BipartiteGraph) -> MultiGraph:
     """Multigraph projection: multiplicity = number of shared auxiliaries."""
-    keys, counts = _pair_counts(b)
-    return MultiGraph(n=b.n, u=keys // b.n, v=keys % b.n, counts=counts)
+    keys, first = _sorted_pairs(b)
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=keys.size)
+    u, v = _split_keys(keys[starts], b.n)
+    return MultiGraph(n=b.n, u=u, v=v, counts=counts)
 
 
 def multi_edge_excess(b: BipartiteGraph) -> int:
     """Multigraph edge count (with multiplicity) minus simple edge count."""
-    keys, counts = _pair_counts(b)
-    return int(counts.sum() - keys.size)
+    keys, first = _sorted_pairs(b)
+    return keys.size - int(np.count_nonzero(first))
 
 
 def project_with_excess(b: BipartiteGraph) -> tuple[SimpleGraph, int]:
     """Simple projection plus the multi-edge excess, sharing one pair pass."""
-    keys, counts = _pair_counts(b)
-    return SimpleGraph(b.n, keys // b.n, keys % b.n), int(counts.sum() - keys.size)
+    keys, first = _sorted_pairs(b)
+    distinct = keys[first]
+    eta = keys.size - distinct.size
+    del keys, first
+    return SimpleGraph(b.n, *_split_keys(distinct, b.n)), eta
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,12 @@ def limit_degree_gf(beta: float, gamma: float, s: float) -> float:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Smallest non-negative root of rho = g(rho) with solver diagnostics."""
+    """Smallest non-negative root of rho = g(rho) with solver diagnostics.
+
+    The root lies in ``bracket`` = (lo, hi), certified by the computed signs
+    h(lo) > 0 >= h(hi) of h(x) = g(x) - x, and |rho - root| <= error_bound.
+    For mu <= 1 the root is exactly 1 and the bracket is (1, 1).
+    """
 
     rho: float
     residual: float
@@ -41,59 +46,76 @@ class FixedPointResult:
     regime: str  # subcritical | critical | supercritical, by mu vs 1
     mu: float
     converged: bool
+    bracket: tuple[float, float]
+    error_bound: float
 
 
 def solve_extinction(beta: float, gamma: float, tol: float = 1e-13,
                      max_iter: int = 100_000) -> FixedPointResult:
-    """Solve rho = g(rho) by monotone fixed-point iteration from 0.
+    """Solve rho = g(rho) by Newton's method on h(x) = g(x) - x from x = 0.
 
-    The iterates increase to the smallest root.  For mu <= 1 the smallest
-    root is exactly 1 (g > identity below 1), so the returned rho is snapped
-    to 1 after the iteration confirms convergence toward it.  For mu > 1 the
-    contraction is geometric; if the iteration cap is ever hit, bisection on
-    g(x) - x over [0, 1] takes over.
+    For mu <= 1 the smallest root is exactly 1 (g > identity below 1).  For
+    mu > 1, h is convex with h(0) > 0 and h' < 0 below the root, so the
+    Newton iterates rise monotonically to it, quadratically once close; they
+    stop once a step is below `tol` or h runs out of precision, and always
+    below 1.  A search outward from the last iterate, in doubling steps, then
+    brackets the root with signs of h that exceed its rounding error.  rho is
+    the last iterate, kept inside the bracket, so rho < 1 whenever mu > 1;
+    converged means the certified error is at most `tol`.
     """
     if beta < 0 or gamma < 0:
         raise ValueError("beta and gamma must be non-negative")
     mu = beta * gamma * gamma
-    spec = CompoundPoissonSpec(beta * gamma, gamma)
+    regime = "subcritical" if mu < 1.0 else ("critical" if mu == 1.0 else "supercritical")
+    if mu <= 1.0:
+        return FixedPointResult(rho=1.0, residual=0.0, iterations=0, regime=regime,
+                                mu=mu, converged=True, bracket=(1.0, 1.0),
+                                error_bound=0.0)
+    l1, l2 = beta * gamma, gamma
 
-    def g(x: float) -> float:
-        return cpoisson_gf(spec, x)
+    def h(x: float) -> tuple[float, float]:
+        # h = (g - 1) + (1 - x): neither term loses precision near x = 1.
+        # The rounding error is at most about 8 eps (|g - 1| + 1 - x) to
+        # first order; twice that is the margin a sign must clear.
+        a = math.expm1(l1 * math.expm1(l2 * (x - 1.0)))
+        return a + (1.0 - x), 16.0 * math.ulp(1.0) * (abs(a) + 1.0 - x)
+
+    def newton_step(x: float) -> float:
+        t = math.expm1(l2 * (x - 1.0))
+        dg = l1 * l2 * (1.0 + t) * math.exp(l1 * t)  # g'(x) < 1 below the root
+        return (math.expm1(l1 * t) + (1.0 - x)) / (1.0 - dg)
 
     x = 0.0
     iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        nx = g(x)
-        if abs(nx - x) < tol:
-            x = nx
-            converged = True
+    while iterations < max_iter:
+        iterations += 1
+        nx = x + newton_step(x)
+        if not x < nx < 1.0:  # h is below its precision here
             break
-        x = nx
+        step, x = nx - x, nx
+        if step < tol:
+            break
 
-    if not converged:
-        # slow contraction (only near mu = 1): bisect on the sign change if any
-        grid = np.linspace(0.0, 1.0, 1025)
-        vals = np.array([g(t) - t for t in grid])
-        neg = np.flatnonzero(vals < 0)
-        if neg.size == 0:
-            x = 1.0  # no root below 1
-        else:
-            lo, hi = grid[neg[0] - 1], grid[neg[0]]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if g(mid) - mid > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            x = 0.5 * (lo + hi)
-
-    if mu <= 1.0:
-        x = 1.0
-    regime = "subcritical" if mu < 1.0 else ("critical" if mu == 1.0 else "supercritical")
-    return FixedPointResult(rho=x, residual=abs(g(x) - x), iterations=iterations,
-                            regime=regime, mu=mu, converged=converged)
+    # h(0) = g(0) > 0 and h(1) = 0 hold exactly, so both searches stop.
+    # Since |h'| < 1 below the root, no step finer than the error of h helps.
+    d0 = max(math.ulp(x), h(x)[1])
+    lo, d = x, d0
+    while lo > 0.0:
+        v, err = h(lo)
+        if v > err:
+            break
+        lo, d = max(lo - d, 0.0), 2.0 * d
+    hi, d = lo, d0
+    while hi < 1.0:
+        v, err = h(hi)
+        if v < -err:
+            break
+        hi, d = min(hi + d, 1.0), 2.0 * d
+    rho = min(x, hi)
+    bound = max(rho - lo, hi - rho)
+    return FixedPointResult(rho=rho, residual=abs(h(rho)[0]), iterations=iterations,
+                            regime=regime, mu=mu, converged=bound <= tol,
+                            bracket=(lo, hi), error_bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,14 @@ class TestRho:
         assert float(vals["rho"]) == 1.0
         assert vals["regime"] == "subcritical"
 
+    def test_near_critical_error_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "rho", "--beta", "1.0001", "--gamma", "1")
+        assert code == 0
+        vals = dict(line.split() for line in out.splitlines())
+        # brentq: 0.99990000667
+        assert float(vals["rho"]) == pytest.approx(0.99990000667, abs=1e-11)
+        assert 0.0 < float(vals["error_bound"]) <= 1e-13
+
     def test_alpha_rejected(self, capsys):
         code, _, err = run_cli(capsys, "rho", "--beta", "1", "--gamma", "2",
                                "--alpha", "2")

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from riglab.components import census, explore, small_fraction
 from riglab.degree import DegreePmf, rig_pmf, tv_distance
-from riglab.model import SimpleGraph, derive_params, project_simple, sample_bipartite
+from riglab.model import (SimpleGraph, derive_params, project_multi, project_simple,
+                          sample_bipartite)
 
 
 def rng(seed=0):
@@ -72,6 +73,19 @@ class TestCensus:
             per_vertex = sorted(explore(g, v).component_size for v in range(g.n))
             sizes = census(g).sizes
             assert sorted(np.repeat(sizes, sizes).tolist()) == per_vertex
+
+    def test_any_edge_order_vs_explore(self):
+        # census reads the edges as a CSR, relying on SimpleGraph's sorted
+        # edge invariant; from_edges and collapse() establish it from
+        # shuffled, reversed pairs and from the multigraph projection
+        for seed in range(3):
+            b = sample_bipartite(derive_params(300, 1.0, 1.4), rng(seed))
+            pairs = sorted((v, u) for u, v in project_simple(b).edge_set())
+            rng(seed).shuffle(pairs)
+            for g in (SimpleGraph.from_edges(300, pairs), project_multi(b).collapse()):
+                per_vertex = sorted(explore(g, v).component_size for v in range(g.n))
+                sizes = census(g).sizes
+                assert sorted(np.repeat(sizes, sizes).tolist()) == per_vertex
 
 
 class TestExplore:

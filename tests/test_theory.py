@@ -56,6 +56,7 @@ class TestSolveExtinction:
         assert r.rho == 1.0
         assert r.regime == "subcritical"
         assert r.residual <= 1e-12
+        assert r.bracket == (1.0, 1.0) and r.error_bound == 0.0
 
     def test_supercritical_value(self):
         r = solve_extinction(1.0, 2.0)
@@ -85,6 +86,49 @@ class TestSolveExtinction:
         r = solve_extinction(1.0, 2.0)
         xs = np.linspace(0.0, r.rho * (1 - 1e-9), 1000)
         assert all(limit_degree_gf(1.0, 2.0, x) > x for x in xs)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, 2.0])
+    @pytest.mark.parametrize("mu", [1.0 + 1e-4, 1.0 + 1e-3, 1.01])
+    def test_near_critical_vs_brentq(self, mu, gamma):
+        beta = mu / gamma ** 2
+        r = solve_extinction(beta, gamma)
+        ref = brentq(lambda t: limit_degree_gf(beta, gamma, t) - t,
+                     0.0, 1.0 - 1e-9, xtol=1e-15)
+        assert r.rho < 1.0 and r.converged
+        assert r.rho == pytest.approx(ref, abs=1e-11)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, 2.0])
+    @pytest.mark.parametrize("mu", [1.0 + 1e-4, 1.0 + 1e-3, 1.01])
+    def test_near_critical_expansion(self, mu, gamma):
+        # 1 - rho = 2(mu - 1)/g''(1) + O((mu - 1)^2), g''(1) = mu(gamma + mu)
+        r = solve_extinction(mu / gamma ** 2, gamma)
+        approx = 2.0 * (mu - 1.0) / (mu * (gamma + mu))
+        assert (1.0 - r.rho) / approx == pytest.approx(1.0, abs=2.0 * (mu - 1.0))
+
+    @pytest.mark.parametrize("beta,gamma", [
+        (1.0 + 1e-4, 1.0), (1.001, 1.0), (1.01, 1.0), (1.0, 2.0), (2.0, 1.0),
+        (0.5, 3.0), (3.0, 2.5), (30.0, 1.0), (1.0 + 1e-12, 1.0),
+        (1.0000000000000002, 1.0)])
+    def test_error_bound_bounds_error(self, beta, gamma):
+        # reference: the survival probability y = 1 - rho solves
+        # y + expm1(beta gamma expm1(-gamma y)) = 0, found at 60 digits
+        mpmath = pytest.importorskip("mpmath")
+        r = solve_extinction(beta, gamma)
+        lo, hi = r.bracket
+        assert lo <= r.rho <= hi and r.rho < 1.0
+        with mpmath.workdps(60):
+            l1, l2 = mpmath.mpf(beta) * gamma, mpmath.mpf(gamma)
+
+            def h(x):
+                return mpmath.exp(l1 * mpmath.expm1(l2 * (x - 1))) - x
+
+            assert h(mpmath.mpf(lo)) > 0 >= h(mpmath.mpf(hi))
+            mu = beta * gamma ** 2
+            y0 = 2 * (mu - 1) / (mu * (gamma + mu)) if mu < 1.5 else mpmath.mpf(1)
+            y = mpmath.findroot(lambda t: t + mpmath.expm1(l1 * mpmath.expm1(-l2 * t)), y0)
+            err = abs(mpmath.mpf(r.rho) - (1 - y))
+        assert 0 < y < 1
+        assert err <= r.error_bound <= 1e-13
 
     @given(st.floats(0.1, 3.0), st.floats(0.1, 2.5))
     @settings(max_examples=60, deadline=None)
