@@ -239,8 +239,8 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     p.add_argument("--alpha", type=float, default=1.0, help="exponent in p")
     p.add_argument("--source", choices=["exact", "empirical", "limit"],
-                   default="exact", help="exact sum, sampled graphs, or the "
-                                         "compound Poisson limit")
+                   default="exact", help="exact binomial mixture, sampled "
+                                         "graphs, or the compound Poisson limit")
     p.add_argument("--samples", type=int, default=100_000,
                    help="vertex samples for --source empirical")
     p.add_argument("--kmax", type=int, default=None,

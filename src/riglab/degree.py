@@ -14,14 +14,13 @@ import numpy as np
 
 from .model import project_simple, sample_aux_lists
 
-# scipy.stats and mpmath are imported inside the functions that use them:
-# together they add about 40 MiB and 0.7 s to `import riglab`, and no trial,
-# sweep or summary needs them.
+# scipy.special is imported inside the functions that use it: it adds about
+# 3 MiB and 40 ms to `import riglab`, and no trial, sweep or summary needs it.
 
 __all__ = [
     "DegreePmf",
     "CompoundPoissonSpec",
-    "EXACT_PMF_MAX_N",
+    "EXACT_PMF_BUDGET",
     "rig_gf",
     "rig_pmf",
     "rig_moments",
@@ -36,9 +35,14 @@ __all__ = [
     "tv_distance",
 ]
 
-# beyond this the alternating coefficient-extraction sum is refused; use the
-# empirical mode or the generating function (stable on [0,1]) instead
-EXACT_PMF_MAX_N = 200
+# most mixture entries (rows x degrees computed, plus the n returned) the exact
+# pmf may hold; its ~10 float64 temporaries of that size stay under 400 MB
+EXACT_PMF_BUDGET = 5_000_000
+# Bin(m, p) weight below which the exact pmf drops a row of its mixture
+_MIXTURE_CUT = 1e-20
+# log j! - log(sqrt(2 pi j) (j/e)^j) for j = 0..15 (0 at j = 0 by convention)
+_STIRLERR = np.array([0.0] + [math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j
+                              - 0.5 * math.log(2.0 * math.pi) for j in range(1, 16)])
 
 
 @dataclass
@@ -55,19 +59,12 @@ class DegreePmf:
         if self.probs.min() < 0 or self.tail < 0:
             raise ValueError("probabilities and tail mass must be non-negative")
         total = float(self.probs.sum()) + self.tail
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:  # also rejects NaN
             raise ValueError(f"pmf plus tail sums to {total}, not 1")
-
-    @property
-    def kmax(self) -> int:
-        return len(self.probs) - 1
 
     def mean(self) -> float:
         """Mean over the explicit support (the tail atom contributes nothing)."""
         return float(np.arange(len(self.probs)) @ self.probs)
-
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.probs)
 
     def write_csv(self, f: IO[str]) -> None:
         f.write("degree,probability\n")
@@ -104,20 +101,49 @@ class CompoundPoissonSpec:
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("rates must be non-negative")
 
-    @property
-    def mean(self) -> float:
-        return self.lambda1 * self.lambda2
-
 
 # ---------------------------------------------------------------------------
 # intersection-graph degree law (simple projection)
 # ---------------------------------------------------------------------------
 
-def _one_minus_p_pow(p: float, e: np.ndarray) -> np.ndarray:
-    """(1-p)^e computed stably, elementwise over integer exponents e >= 0."""
+def _binom_pmf(k, size, p) -> np.ndarray:
+    """Binomial(size, p) pmf at k, broadcasting, in Loader's saddle-point form
+    (2000): relative error near 1e-13 at any size, where the log-gamma form
+    loses eps * log(size!), 3e-10 at size 1e5."""
+    from scipy.special import xlog1py, xlogy
+
+    def stirlerr(j):  # log j! - log(sqrt(2 pi j) (j/e)^j) for j >= 1
+        jj = np.maximum(j, 16.0) ** 2
+        series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * jj)) / jj) / jj) / jj)
+        return np.where(j < 16, _STIRLERR[np.clip(j, 0, 15).astype(np.intp)], series / np.sqrt(jj))
+
+    def bd0(x, mean):  # x log(x/mean) + mean - x; an error in mean cancels to first order
+        return xlog1py(x, (x - mean) / mean) - (x - mean)
+
+    # no broadcast up front: the terms that do not depend on p keep the shape of k
+    k, size, p = (np.asarray(a, dtype=float) for a in (k, size, p))
+    r = size - k
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lc = (stirlerr(size) - stirlerr(k) - stirlerr(r)
+              - bd0(k, size * p) - bd0(r, size * (1.0 - p)))
+        pmf = np.exp(lc) * np.sqrt(size / (2.0 * math.pi * k * r))
+        pmf = np.where(k == 0, np.exp(xlog1py(size, -p)), pmf)
+        pmf = np.where(r == 0, np.exp(xlogy(size, p)), pmf)
+    return np.where(r < 0, 0.0, pmf)
+
+
+def _bulk(size: int, p: float) -> tuple[int, int]:
+    """[lo, hi] with under 1e-21 of Bin(size, p) on either side: Bernstein's
+    inequality bounds each side, at 10 sd + 33 from the mean, by exp(-49.5)."""
+    mean, t = size * p, 10.0 * math.sqrt(size * p * (1.0 - p)) + 33.0
+    return max(0, math.floor(mean - t)), min(size, math.ceil(mean + t))
+
+
+def _cover_prob(p: float, N):
+    """1 - (1-p)^N: the chance that another vertex shares one of N auxiliaries."""
     if p == 1.0:
-        return (e == 0).astype(float)
-    return np.exp(e * math.log1p(-p))
+        return (np.asarray(N) > 0).astype(float)
+    return -np.expm1(N * math.log1p(-p))
 
 
 def rig_gf(m: int, n: int, p: float, z: float) -> float:
@@ -131,59 +157,44 @@ def rig_gf(m: int, n: int, p: float, z: float) -> float:
         raise ValueError(f"z must be in [0,1], got {z}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
-    from scipy import stats
+    from scipy.special import xlog1py
 
     j = np.arange(n)
-    w = stats.binom.pmf(j, n - 1, z)
-    e = n - 1 - j
-    if m == 0:
-        return float(w.sum())
-    one_minus_t = -np.expm1(e * math.log1p(-p)) if p < 1.0 else (e != 0).astype(float)
-    with np.errstate(divide="ignore"):
-        log_inner = np.log1p(-p * one_minus_t)  # log[1 - p(1 - (1-p)^e)]
-    return float(w @ np.exp(m * log_inner))
+    # [1 - p(1 - (1-p)^(n-1-j))]^m, which is 1 at m = 0 even where the base is 0
+    return float(_binom_pmf(j, n - 1, z) @ np.exp(xlog1py(m, -p * _cover_prob(p, n - 1 - j))))
 
 
-def _rig_pmf_exact(m: int, n: int, p: float) -> DegreePmf:
-    """Coefficient extraction from the degree gf in extended precision.
+def _rig_pmf_mixture(m: int, n: int, p: float) -> DegreePmf:
+    """P(D=k) = sum_N Bin(m,p)(N) Bin(n-1, 1-(1-p)^N)(k): no term is negative,
+    so float64 suffices.  Rows N: the bulk of Bin(m, p), less rows weighing
+    under _MIXTURE_CUT; degrees: the bulk of the last row, which dominates the
+    others.  The tail holds the rows cut and the degrees beyond the bulk (the
+    under 1e-21 of Bin(m, p) outside its bulk is not counted)."""
+    from scipy.special import bdtrc
 
-    P(D=k) = sum_{j<=k} C(n-1,j) C(n-1-j,k-j) (-1)^(k-j) F_j with
-    F_j = [1-p+p(1-p)^(n-1-j)]^m.  Alternating, so run under enough digits
-    that the cancellation (up to ~3^n between term and result) is harmless.
-    """
-    import mpmath
-
-    dps = 30 + int(0.5 * n) + 10
-    with mpmath.workdps(dps):
-        mp_p = mpmath.mpf(p)
-        F = [(1 - mp_p + mp_p * (1 - mp_p) ** (n - 1 - j)) ** m for j in range(n)]
-        probs = np.empty(n)
-        for k in range(n):
-            acc = mpmath.mpf(0)
-            for j in range(k + 1):
-                c = math.comb(n - 1, j) * math.comb(n - 1 - j, k - j)
-                term = mpmath.mpf(c) * F[j]
-                acc = acc + term if (k - j) % 2 == 0 else acc - term
-            probs[k] = float(acc)
-    if probs.min() < -1e-8 or probs.max() > 1 + 1e-8:
-        raise ArithmeticError(
-            f"cancellation out of tolerance: pmf entries in "
-            f"[{probs.min()}, {probs.max()}] for (m={m}, n={n}, p={p})")
-    return DegreePmf(np.clip(probs, 0.0, 1.0))
+    lo, hi = _bulk(m, p)
+    kmax = _bulk(n - 1, _cover_prob(p, hi))[1]
+    if (hi - lo + 1) * (kmax + 1) + n > EXACT_PMF_BUDGET:
+        raise ValueError(
+            f"exact pmf needs {hi - lo + 1} x {kmax + 1} mixture entries plus {n} "
+            f"degrees, over the budget of {EXACT_PMF_BUDGET}; use mode='empirical'")
+    rows = np.arange(lo, hi + 1)
+    w = _binom_pmf(rows, m, p)
+    keep = w >= _MIXTURE_CUT
+    q = _cover_prob(p, rows[keep])
+    probs = np.zeros(n)
+    probs[:kmax + 1] = w[keep] @ _binom_pmf(np.arange(kmax + 1), n - 1, q[:, None])
+    tail = w[~keep].sum() + w[keep] @ bdtrc(kmax, n - 1, q)
+    return DegreePmf(probs, float(tail))
 
 
 def _rig_pmf_empirical(m: int, n: int, p: float, rng: np.random.Generator,
                        samples: int) -> DegreePmf:
     """Degree frequencies over sampled graphs; ceil(samples/n) graphs, all
     vertices of each graph contribute one sample."""
-    graphs = -(-samples // n)
-    counts = np.zeros(1, dtype=np.int64)
-    for _ in range(graphs):
-        g = project_simple(sample_aux_lists(n, m, p, rng))
-        c = np.bincount(g.degrees(), minlength=1)
-        if len(c) > len(counts):
-            counts = np.pad(counts, (0, len(c) - len(counts)))
-        counts[:len(c)] += c
+    counts = np.bincount(np.concatenate([
+        project_simple(sample_aux_lists(n, m, p, rng)).degrees()
+        for _ in range(-(-samples // n))]))
     return DegreePmf(counts / counts.sum())
 
 
@@ -192,19 +203,14 @@ def rig_pmf(m: int, n: int, p: float, mode: str = "exact",
             samples: int | None = None) -> DegreePmf:
     """Degree pmf of the simple projection, exact or sampled.
 
-    Exact mode is limited to n <= EXACT_PMF_MAX_N and fails loudly if the
-    alternating sum cancels beyond tolerance.  Empirical mode needs rng and a
-    vertex sample count.
+    Exact mode returns n entries and refuses a mixture block larger than
+    EXACT_PMF_BUDGET.  Empirical mode needs rng and a vertex sample count.
     """
     if mode == "exact":
-        if n > EXACT_PMF_MAX_N:
-            raise ValueError(
-                f"exact pmf limited to n <= {EXACT_PMF_MAX_N} (got n={n}); "
-                "use mode='empirical'")
-        return _rig_pmf_exact(m, n, p)
+        return _rig_pmf_mixture(m, n, p)
     if mode == "empirical":
-        if rng is None or samples is None:
-            raise ValueError("empirical mode requires rng and samples")
+        if rng is None or samples is None or samples < 1:
+            raise ValueError("empirical mode requires rng and samples >= 1")
         return _rig_pmf_empirical(m, n, p, rng, samples)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -236,12 +242,7 @@ def rig_degree_sample(m: int, n: int, p: float, rng: np.random.Generator,
     the other n-1 vertices is a neighbour independently with probability
     1 - (1-p)^N, so D | N ~ Binomial(n-1, 1-(1-p)^N).
     """
-    N = rng.binomial(m, p, size=size)
-    if p == 1.0:
-        q = (N > 0).astype(float) if size is not None else float(N > 0)
-    else:
-        q = -np.expm1(N * math.log1p(-p))
-    return rng.binomial(n - 1, q)
+    return rng.binomial(n - 1, _cover_prob(p, rng.binomial(m, p, size=size)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +271,17 @@ def cpoisson_pmf(spec: CompoundPoissonSpec, kmax: int) -> DegreePmf:
         probs = np.zeros(kmax + 1)
         probs[0] = 1.0
         return DegreePmf(probs)
-    from scipy import stats
+    from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
-    jmax = int(stats.poisson.ppf(1.0 - 1e-12, l1)) + 1
+    def poisson_pmf(k, mu):  # as scipy.stats.poisson computes it
+        return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+
+    # the 1 - 1e-12 quantile of Poisson(l1), found as scipy.stats finds it
+    j = max(math.ceil(pdtrik(1.0 - 1e-12, l1)) - 1, 0)
+    jmax = (j if pdtr(j, l1) >= 1.0 - 1e-12 else j + 1) + 1
     js = np.arange(jmax + 1)
-    w = stats.poisson.pmf(js, l1)
-    mat = stats.poisson.pmf(ks[None, :], (js * l2)[:, None])
+    w = poisson_pmf(js, l1)
+    mat = poisson_pmf(ks[None, :], (js * l2)[:, None])
     mat[0] = 0.0
     mat[0, 0] = 1.0  # j=0: no summands, total is exactly 0
     probs = w @ mat
@@ -335,16 +341,10 @@ def rimg_gf(m: int, n: int, p: float, z: float) -> float:
 def rimg_pmf(m: int, n: int, p: float, kmax: int | None = None) -> DegreePmf:
     """Exact compound binomial pmf: N ~ Binomial(m, p) auxiliaries, total
     degree Binomial(N(n-1), p).  Support is finite (<= m(n-1))."""
-    top = m * (n - 1)
     if kmax is None:
-        kmax = top
-    from scipy import stats
-
-    ks = np.arange(kmax + 1)
+        kmax = m * (n - 1)
     a = np.arange(m + 1)
-    w = stats.binom.pmf(a, m, p)
-    mat = stats.binom.pmf(ks[None, :], (a * (n - 1))[:, None], p)
-    probs = w @ mat
+    probs = _binom_pmf(a, m, p) @ _binom_pmf(np.arange(kmax + 1), (a * (n - 1))[:, None], p)
     tail = max(0.0, 1.0 - float(probs.sum()))
     return DegreePmf(probs, tail)
 

@@ -1,9 +1,12 @@
-"""Brute-force enumeration oracles over all 2^(n*m) bipartite graphs.
+"""Reference computations that share no code path with the package.
 
-Each (vertex, auxiliary) incidence is one coin; a configuration is a tuple of
-m bitmasks over the n vertices, weighted by p^edges (1-p)^(n*m - edges).
-Everything here is independent of the package's sampling and projection code
-paths: degrees and edge sets are recomputed from raw bitmasks.
+Brute-force enumeration over all 2^(n*m) bipartite graphs: each (vertex,
+auxiliary) incidence is one coin; a configuration is a tuple of m bitmasks
+over the n vertices, weighted by p^edges (1-p)^(n*m - edges).  Degrees and
+edge sets are recomputed from raw bitmasks.
+
+Coefficient extraction from the degree generating function under mpmath
+extended precision, for n beyond the reach of enumeration.
 """
 
 from __future__ import annotations
@@ -52,6 +55,29 @@ def exact_degree_pmf(n: int, m: int, p: float) -> np.ndarray:
     probs = np.zeros(n)
     for masks in configurations(n, m):
         probs[simple_degree_of_v0(masks)] += config_weight(masks, n, p)
+    return probs
+
+
+def alternating_degree_pmf(m: int, n: int, p: float) -> np.ndarray:
+    """P(simple-projection degree = k), k = 0..n-1, by coefficient extraction.
+
+    P(D=k) = sum_{j<=k} C(n-1,j) C(n-1-j,k-j) (-1)^(k-j) F_j with
+    F_j = [1-p+p(1-p)^(n-1-j)]^m.  Alternating, so run under enough digits
+    that the cancellation (up to ~3^n between term and result) is harmless;
+    about n^2/2 multiprecision terms, so keep n in the hundreds.
+    """
+    import mpmath
+
+    with mpmath.workdps(40 + n // 2):
+        mp_p = mpmath.mpf(p)
+        F = [(1 - mp_p + mp_p * (1 - mp_p) ** (n - 1 - j)) ** m for j in range(n)]
+        probs = np.empty(n)
+        for k in range(n):
+            acc = mpmath.mpf(0)
+            for j in range(k + 1):
+                term = math.comb(n - 1, j) * math.comb(n - 1 - j, k - j) * F[j]
+                acc = acc + term if (k - j) % 2 == 0 else acc - term
+            probs[k] = float(acc)
     return probs
 
 

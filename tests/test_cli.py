@@ -132,11 +132,21 @@ class TestDegree:
         pmf = DegreePmf.read_csv(io.StringIO(out))
         assert abs(pmf.probs.sum() + pmf.tail - 1.0) < 1e-10
 
-    def test_exact_too_large_fails_validation(self, capsys):
-        code, _, err = run_cli(capsys, "degree", "--n", "5000", "--beta", "1",
+    def test_exact_large_n(self, capsys):
+        code, out, _ = run_cli(capsys, "degree", "--n", "5000", "--beta", "1",
                                "--gamma", "1")
+        assert code == 0
+        keys = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert keys == [str(k) for k in range(5000)] + ["tail"]
+        pmf = DegreePmf.read_csv(io.StringIO(out))
+        assert abs(pmf.mean() - 1.0) < 1e-3
+
+    def test_exact_over_budget_fails_validation(self, capsys):
+        code, out, err = run_cli(capsys, "degree", "--n", "1000000", "--beta",
+                                 "100000", "--gamma", "1", "--alpha", "0")
         assert code == 1
-        assert "empirical" in err
+        assert out == ""
+        assert "budget" in err
 
 
 class TestTails:

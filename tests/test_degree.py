@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riglab.degree import (EXACT_PMF_MAX_N, CompoundPoissonSpec, DegreePmf,
+from riglab.degree import (EXACT_PMF_BUDGET, CompoundPoissonSpec, DegreePmf,
                            cpoisson_gf, cpoisson_pmf, cpoisson_sample,
                            rig_degree_sample, rig_gf, rig_moments, rig_pmf,
                            rimg_gf, rimg_log_gf, rimg_pmf, rimg_sample,
                            tv_distance)
+from riglab.model import derive_params
 
 import oracle
 
@@ -34,6 +35,8 @@ class TestDegreePmf:
             DegreePmf(np.array([0.5, 0.4]))  # sums to 0.9
         with pytest.raises(ValueError):
             DegreePmf(np.array([1.1, -0.1]))
+        with pytest.raises(ValueError):
+            DegreePmf(np.array([np.nan, 1.0]))
         DegreePmf(np.array([0.9, 0.05]), tail=0.05)
 
     def test_csv_round_trip(self):
@@ -93,13 +96,39 @@ class TestRigPmf:
         pmf = rig_pmf(3, 4, 0.5)
         assert np.abs(pmf.probs - exact).max() < 1e-12
 
-    def test_exact_mode_size_limit(self):
-        with pytest.raises(ValueError):
-            rig_pmf(10, EXACT_PMF_MAX_N + 1, 0.01)
+    @pytest.mark.parametrize("n", [20, 100, 200])
+    @pytest.mark.parametrize("beta,gamma", [(1.0, 1.0), (0.5, 2.0), (3.0, 0.7),
+                                            (14.0, 0.5)])
+    def test_vs_alternating_sum(self, n, beta, gamma):
+        params = derive_params(n, beta, gamma)
+        pmf = rig_pmf(params.m, n, params.p)
+        ref = oracle.alternating_degree_pmf(params.m, n, params.p)
+        assert np.abs(pmf.probs - ref).max() <= 1e-12
+        assert pmf.tail <= 1e-12
+
+    @pytest.mark.parametrize("n", [10 ** 4, 10 ** 5])
+    @pytest.mark.parametrize("beta,gamma", [(1.0, 1.0), (2.0, 1.5)])
+    def test_large_n_normalised_with_exact_mean(self, n, beta, gamma):
+        params = derive_params(n, beta, gamma)
+        pmf = rig_pmf(params.m, n, params.p)
+        assert len(pmf.probs) == n
+        assert abs(pmf.probs.sum() + pmf.tail - 1.0) <= 1e-12
+        assert abs(pmf.mean() - rig_moments(params.m, n, params.p)[0]) <= 1e-9
+
+    def test_exact_mode_budget(self):
+        # the padded degrees alone exceed the budget at alpha = 1, and at
+        # alpha = 0 with many auxiliaries per vertex the mixture block does
+        with pytest.raises(ValueError, match="budget"):
+            rig_pmf(EXACT_PMF_BUDGET, EXACT_PMF_BUDGET, 1.0 / EXACT_PMF_BUDGET)
+        params = derive_params(10 ** 6, 10 ** 5, 1.0, alpha=0.0)
+        with pytest.raises(ValueError, match="budget"):
+            rig_pmf(params.m, params.n, params.p)
 
     def test_empirical_requires_rng(self):
         with pytest.raises(ValueError):
             rig_pmf(10, 10, 0.1, mode="empirical")
+        with pytest.raises(ValueError, match="samples >= 1"):
+            rig_pmf(10, 10, 0.1, mode="empirical", rng=rng(), samples=0)
 
     def test_empirical_matches_exact(self):
         # graph-sampled vertex degrees vs the exact law
@@ -267,6 +296,14 @@ class TestRimg:
             series = float(pmf.probs @ z ** np.arange(len(pmf.probs)))
             assert rimg_gf(m, n, p, z) == pytest.approx(series, abs=1e-10)
 
+    def test_pmf_wide_support(self):
+        # degrees far beyond what few auxiliaries can reach have zero mass
+        m, n, p = 5, 10, 0.2
+        pmf = rimg_pmf(m, n, p)
+        assert abs(pmf.probs.sum() - 1.0) < 1e-12
+        assert rimg_gf(m, n, p, 0.5) == pytest.approx(
+            float(pmf.probs @ 0.5 ** np.arange(len(pmf.probs))), abs=1e-12)
+
     def test_sample_degenerate(self):
         assert not rimg_sample(5, 6, 0.0, rng(), size=100).any()
         assert (rimg_sample(5, 6, 1.0, rng(), size=100) == 25).all()
@@ -337,3 +374,11 @@ class TestLimitConvergence:
         tvs = [tv_distance(rig_pmf(n, n, 1.0 / n), limit) for n in (25, 50, 100, 200)]
         assert all(a > b for a, b in zip(tvs, tvs[1:]))
         assert tvs[-1] < 0.02
+
+    def test_tv_order_one_over_n(self):
+        # n * TV(law_n, CPoisson(1, 1)) settles near 0.3597 from n = 1e3 on
+        limit = cpoisson_pmf(CompoundPoissonSpec(1.0, 1.0), 80)
+        scaled = [n * tv_distance(rig_pmf(n, n, 1.0 / n), limit)
+                  for n in (10 ** 3, 10 ** 4, 10 ** 5)]
+        assert max(scaled) / min(scaled) - 1.0 <= 0.01
+        assert 0.35 < min(scaled)

@@ -17,16 +17,35 @@ from riglab.model import derive_params, project_with_excess, sample_bipartite
 BYTES_PER_PAIR_KEY = 58
 
 
-def test_import_loads_no_scipy_stats_or_mpmath():
-    code = ("import sys, riglab, riglab.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'mpmath') if m in sys.modules))")
-    # the child imports the same riglab as this process
+def heavy_modules_after(code: str) -> str:
+    """Run `code` in a fresh interpreter that imports the same riglab as this
+    process; return which of scipy.stats and mpmath it left loaded."""
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in ('scipy.stats', 'mpmath') if m in sys.modules))")
     src = os.path.dirname(os.path.dirname(riglab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy_stats_or_mpmath():
+    assert heavy_modules_after("import riglab, riglab.cli") == "[]"
+
+
+def test_closed_forms_load_no_scipy_stats_or_mpmath():
+    code = """
+from riglab import degree, theory
+degree.rig_pmf(200, 200, 0.01)
+degree.rig_gf(200, 200, 0.01, 0.5)
+degree.rimg_pmf(5, 10, 0.2)
+degree.cpoisson_pmf(degree.CompoundPoissonSpec(1.0, 2.0), 60)
+theory.chernoff_upper(200, 200, 0.01, 2.0, 20, 0.5)
+theory.chernoff_lower(200, 200, 0.01, 2.0, 20, 0.5)
+theory.solve_extinction(2.0, 1.0)
+"""
+    assert heavy_modules_after(code) == "[]"
 
 
 def test_trial_peak_memory_per_pair_key():
