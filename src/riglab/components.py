@@ -6,8 +6,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, get_index_dtype
-from scipy.sparse.csgraph import connected_components
 
 from .model import SimpleGraph
 
@@ -46,23 +44,68 @@ class ExplorationTrace:
 
 
 def census(g: SimpleGraph) -> ComponentCensus:
-    """Exact component sizes via scipy's connected_components.
+    """Exact component sizes by union-find in numpy, no Python loop per vertex.
 
-    Relies on SimpleGraph's invariant that the edges are sorted by (u, v):
-    then v, in order, is the column list of a CSR matrix with one row per u,
-    and the matrix is built without a COO detour.  The data is float64, the
-    dtype connected_components works in, so scipy makes no converted copy.
-    The index dtype is chosen as scipy chooses it, int32 while that suffices
-    and int64 from n or edge count 2**31 on, so no index can overflow.
+    Every pointer goes from a vertex to a larger one, so the forest cannot
+    close a cycle; this needs only SimpleGraph's invariant u < v.  Round one
+    hooks each vertex onto its largest neighbour, which on edges sorted by
+    (u, v) is the last edge of its run of u.  Each later round relabels the
+    edges by the roots of their ends, drops those inside one tree, and hooks
+    every root onto the largest root it shares an edge with (Shiloach and
+    Vishkin's hooking, J. Algorithms 3, 1982, in max form).  Pointer jumping
+    after round one points every vertex at its root; after each later round
+    it does so only for the round-one roots on the remaining edges, so every
+    other vertex still points at its round-one root and one last jump labels
+    them all.
     """
-    idx = get_index_dtype(maxval=max(g.n, g.edge_count))
-    indptr = np.zeros(g.n + 1, dtype=idx)
-    np.cumsum(np.bincount(g.u, minlength=g.n), out=indptr[1:])
-    adj = csr_matrix((np.ones(g.edge_count), g.v.astype(idx, copy=False), indptr),
-                     shape=(g.n, g.n))
-    _, labels = connected_components(adj, directed=False)
-    sizes = -np.sort(-np.bincount(labels))
+    parent = np.arange(g.n)
+    u, v = g.u, g.v
+    if g.edge_count:
+        last = np.flatnonzero(u[1:] != u[:-1])
+        hooked = np.append(u[last], u[-1])
+        parent[hooked] = np.append(v[last], v[-1])
+        del last
+        _jump(parent, hooked)
+        del hooked
+    # the edges between round-one trees, as root pairs; the mask comes first,
+    # so the edge-length gathers are freed before the kept ends are gathered
+    keep = parent[u] != parent[v]
+    a = parent[u[keep]]
+    b = parent[v[keep]]
+    del keep
+    if len(a):
+        active = np.zeros(g.n, dtype=bool)
+        active[a] = True
+        active[b] = True
+        active = np.flatnonzero(active)
+        while True:
+            np.maximum.at(parent, a, b)
+            np.maximum.at(parent, b, a)
+            _jump(parent, active)
+            a = parent[a]
+            b = parent[b]
+            keep = a != b
+            if not keep.any():
+                break
+            a = a[keep]
+            b = b[keep]
+        parent = parent[parent]
+    # a counting sort: per_size[s] components have s vertices
+    per_size = np.bincount(np.bincount(parent))
+    sizes = np.repeat(np.arange(len(per_size) - 1, 0, -1), per_size[:0:-1])
     return ComponentCensus(sizes=sizes, n=g.n)
+
+
+def _jump(parent: np.ndarray, s: np.ndarray) -> None:
+    """Pointer jumping: point every vertex of s at its root, given that every
+    pointer out of s ends in s or at a root."""
+    ps = parent[s]
+    while True:
+        pps = parent[ps]
+        if np.array_equal(pps, ps):
+            return
+        parent[s] = pps
+        ps = pps
 
 
 def explore(g: SimpleGraph, start: int) -> ExplorationTrace:

@@ -14,8 +14,9 @@ import numpy as np
 
 from .model import project_simple, sample_aux_lists
 
-# scipy.special is imported inside the functions that use it: it adds about
-# 3 MiB and 40 ms to `import riglab`, and no trial, sweep or summary needs it.
+# scipy.special is imported inside the functions that use it: with the scipy
+# core it loads, it would add about 23 MiB to `import riglab`, and no trial,
+# sweep or summary needs it.
 
 __all__ = [
     "DegreePmf",
@@ -340,9 +341,14 @@ def rimg_gf(m: int, n: int, p: float, z: float) -> float:
 
 def rimg_pmf(m: int, n: int, p: float, kmax: int | None = None) -> DegreePmf:
     """Exact compound binomial pmf: N ~ Binomial(m, p) auxiliaries, total
-    degree Binomial(N(n-1), p).  Support is finite (<= m(n-1))."""
+    degree Binomial(N(n-1), p).  Support is finite (<= m(n-1)).  Refuses an
+    (m+1) x (kmax+1) block of binomial pmfs larger than EXACT_PMF_BUDGET."""
     if kmax is None:
         kmax = m * (n - 1)
+    if (m + 1) * (kmax + 1) > EXACT_PMF_BUDGET:
+        raise ValueError(
+            f"rimg pmf needs {m + 1} x {kmax + 1} binomial entries, over the "
+            f"budget of {EXACT_PMF_BUDGET}")
     a = np.arange(m + 1)
     probs = _binom_pmf(a, m, p) @ _binom_pmf(np.arange(kmax + 1), (a * (n - 1))[:, None], p)
     tail = max(0.0, 1.0 - float(probs.sum()))

@@ -42,8 +42,8 @@ __all__ = [
 
 DEFAULT_SMALL_THRESHOLD_COEFF = 3.0
 
-# A trial's traced peak is about 46 bytes per pair key (46 and 42 at
-# n = 10^6, gamma = 2 and 4), so this budget keeps one trial near 2.3 GB.
+# A trial's traced peak is about 37 bytes per pair key (37.0 and 36.5 at
+# n = 10^6, gamma = 2 and 4), so this budget keeps one trial near 1.9 GB.
 PAIR_KEY_BUDGET = 50_000_000
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from riglab.components import census, explore, small_fraction
 from riglab.degree import DegreePmf, rig_pmf, tv_distance
@@ -17,6 +19,19 @@ def rng(seed=0):
 
 def random_graph(n, beta, gamma, g):
     return project_simple(sample_bipartite(derive_params(n, beta, gamma), g))
+
+
+def scipy_sizes(g):
+    """The census oracle: scipy's connected_components, sizes descending."""
+    adj = csr_matrix((np.ones(g.edge_count), (g.u, g.v)), shape=(g.n, g.n))
+    _, labels = connected_components(adj, directed=False)
+    return sorted(np.bincount(labels).tolist(), reverse=True)
+
+
+def permuted_graph(n, a, b, seed):
+    """The graph with edges (a[i], b[i]) under a random vertex permutation."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return SimpleGraph.from_edges(n, zip(perm[a].tolist(), perm[b].tolist()))
 
 
 @st.composite
@@ -65,9 +80,8 @@ class TestCensus:
         assert census(relabeled).sizes.tolist() == census(g).sizes.tolist()
 
     def test_vs_explore(self):
-        # census runs scipy's connected_components, so the reference is
-        # explore: a component of size s holds s vertices whose exploration
-        # reaches s vertices
+        # a second reference besides scipy: a component of size s holds s
+        # vertices whose exploration reaches s vertices
         for seed in range(5):
             g = random_graph(300, 1.0, 1.4, rng(seed))
             per_vertex = sorted(explore(g, v).component_size for v in range(g.n))
@@ -75,9 +89,10 @@ class TestCensus:
             assert sorted(np.repeat(sizes, sizes).tolist()) == per_vertex
 
     def test_any_edge_order_vs_explore(self):
-        # census reads the edges as a CSR, relying on SimpleGraph's sorted
-        # edge invariant; from_edges and collapse() establish it from
-        # shuffled, reversed pairs and from the multigraph projection
+        # census relies on SimpleGraph's invariant u < v and hooks along the
+        # last edge of each run of u; from_edges and collapse() establish the
+        # sorted edges from shuffled, reversed pairs and from the multigraph
+        # projection
         for seed in range(3):
             b = sample_bipartite(derive_params(300, 1.0, 1.4), rng(seed))
             pairs = sorted((v, u) for u, v in project_simple(b).edge_set())
@@ -86,6 +101,39 @@ class TestCensus:
                 per_vertex = sorted(explore(g, v).component_size for v in range(g.n))
                 sizes = census(g).sizes
                 assert sorted(np.repeat(sizes, sizes).tolist()) == per_vertex
+
+
+class TestCensusVsScipy:
+    @given(simple_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_small_graphs(self, g):
+        assert census(g).sizes.tolist() == scipy_sizes(g)
+
+    @pytest.mark.parametrize("beta,gamma", [(0.5, 1.0), (0.7, 1.0), (0.9, 1.0),
+                                            (1.1, 1.0), (1.5, 1.0), (0.5, 2.0)])
+    def test_sampled_across_transition(self, beta, gamma):
+        for seed in range(3):
+            g = random_graph(10_000, beta, gamma, rng(seed))
+            assert census(g).sizes.tolist() == scipy_sizes(g)
+
+    def test_long_chains(self):
+        # a path, a cycle and a random recursive tree on 1e5 vertices with
+        # permuted labels, which take many rounds of hooking
+        n = 100_000
+        i = np.arange(n)
+        tree_parent = (rng(1).random(n - 1) * i[1:]).astype(np.int64)
+        for a, b in ((i[:-1], i[1:]), (i, np.roll(i, 1)), (i[1:], tree_parent)):
+            for seed in range(2):
+                g = permuted_graph(n, a, b, seed)
+                assert census(g).sizes.tolist() == scipy_sizes(g) == [n]
+        # the path in label order: round one's hook chain is the whole path
+        assert census(SimpleGraph.from_edges(n, zip(i[:-1], i[1:]))).sizes.tolist() == [n]
+
+    def test_degenerate(self):
+        for g in (SimpleGraph.from_edges(1, []), SimpleGraph.from_edges(7, [])):
+            c = census(g)
+            assert c.sizes.tolist() == scipy_sizes(g) == [1] * g.n
+            assert c.sizes.dtype == np.int64
 
 
 class TestExplore:

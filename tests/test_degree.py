@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -295,6 +296,20 @@ class TestRimg:
         for z in (0.0, 0.5, 1.3):
             series = float(pmf.probs @ z ** np.arange(len(pmf.probs)))
             assert rimg_gf(m, n, p, z) == pytest.approx(series, abs=1e-10)
+
+    def test_pmf_budget(self):
+        # m = n = 400 would need a 401 x 159,601 block, about 3.5 GB with its
+        # temporaries; it is refused before anything is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                rimg_pmf(400, 400, 0.01)
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(ValueError, match="budget"):
+            rimg_pmf(10, 10, 0.1, kmax=EXACT_PMF_BUDGET)
+        assert len(rimg_pmf(10, 10, 0.1, kmax=50).probs) == 51
 
     def test_pmf_wide_support(self):
         # degrees far beyond what few auxiliaries can reach have zero mass

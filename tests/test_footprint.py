@@ -12,16 +12,18 @@ from riglab.experiments import run_trial, trial_stream
 from riglab.model import derive_params, project_with_excess, sample_bipartite
 
 # traced peak bytes of one run_trial per pair key (distinct edges + eta);
-# 46 at n = 2e5, beta = 1, gamma = 2, where temporaries with one entry per
-# key are freed as soon as they are used
-BYTES_PER_PAIR_KEY = 58
+# 37 at n = 2e5, beta = 1, gamma = 2, where temporaries with one entry per
+# key or per edge are freed as soon as they are used
+BYTES_PER_PAIR_KEY = 49
 
 
-def heavy_modules_after(code: str) -> str:
+def heavy_modules_after(code: str, packages=("scipy.stats", "mpmath")) -> str:
     """Run `code` in a fresh interpreter that imports the same riglab as this
-    process; return which of scipy.stats and mpmath it left loaded."""
+    process; return the modules of `packages` (each package or anything
+    inside it) that it left loaded."""
     code += ("\nimport sys\n"
-             "print(sorted(m for m in ('scipy.stats', 'mpmath') if m in sys.modules))")
+             "print(sorted(m for m in sys.modules\n"
+             f"             if any(m == p or m.startswith(p + '.') for p in {packages!r})))")
     src = os.path.dirname(os.path.dirname(riglab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -32,6 +34,23 @@ def heavy_modules_after(code: str) -> str:
 
 def test_import_loads_no_scipy_stats_or_mpmath():
     assert heavy_modules_after("import riglab, riglab.cli") == "[]"
+
+
+def test_trial_sweep_and_summary_load_no_scipy():
+    # the census is numpy only; scipy.special stays with the closed forms
+    code = """
+import io
+import numpy as np
+import riglab, riglab.cli
+from riglab import experiments, model
+experiments.run_trial(model.derive_params(2000, 1.0, 1.5), np.random.default_rng(0))
+config = experiments.SweepConfig(grid=((1000, 0.5, 1.0), (1000, 1.5, 1.0)),
+                                 replicates=2, master_seed=7)
+result = experiments.run_sweep(config, workers=1, sink=io.StringIO())
+assert not result.failures
+experiments.summarize(result.records)
+"""
+    assert heavy_modules_after(code, ("scipy",)) == "[]"
 
 
 def test_closed_forms_load_no_scipy_stats_or_mpmath():
