@@ -1,6 +1,10 @@
 """riglab: simulation and numerical verification lab for random intersection
 graphs with tunable clustering (alpha = 1 regime)."""
 
+from ._alloc import pin_malloc_thresholds
+
+pin_malloc_thresholds()
+
 from .components import ComponentCensus, ExplorationTrace, census, explore, small_fraction
 from .degree import (CompoundPoissonSpec, DegreePmf, cpoisson_gf, cpoisson_pmf,
                      cpoisson_sample, rig_degree_sample, rig_gf, rig_moments,

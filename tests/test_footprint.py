@@ -1,13 +1,16 @@
 """Process footprint: what `import riglab` loads, and a trial's peak memory."""
 
+import ctypes
 import os
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import riglab
+from riglab import _alloc
 from riglab.experiments import run_trial, trial_stream
 from riglab.model import derive_params, project_with_excess, sample_bipartite
 
@@ -17,19 +20,24 @@ from riglab.model import derive_params, project_with_excess, sample_bipartite
 BYTES_PER_PAIR_KEY = 49
 
 
-def heavy_modules_after(code: str, packages=("scipy.stats", "mpmath")) -> str:
+def run_fresh(code: str) -> str:
     """Run `code` in a fresh interpreter that imports the same riglab as this
-    process; return the modules of `packages` (each package or anything
-    inside it) that it left loaded."""
-    code += ("\nimport sys\n"
-             "print(sorted(m for m in sys.modules\n"
-             f"             if any(m == p or m.startswith(p + '.') for p in {packages!r})))")
+    process; return its stdout."""
     src = os.path.dirname(os.path.dirname(riglab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     return out.strip()
+
+
+def heavy_modules_after(code: str, packages=("scipy.stats", "mpmath")) -> str:
+    """Run `code` in a fresh interpreter (see run_fresh); return the modules
+    of `packages` (each package or anything inside it) that it left loaded."""
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in sys.modules\n"
+             f"             if any(m == p or m.startswith(p + '.') for p in {packages!r})))")
+    return run_fresh(code)
 
 
 def test_import_loads_no_scipy_stats_or_mpmath():
@@ -80,3 +88,28 @@ def test_trial_peak_memory_per_pair_key():
     keys = g.edge_count + eta
     assert keys > 300_000
     assert peak <= BYTES_PER_PAIR_KEY * keys, f"{peak / keys:.1f} B per pair key"
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallinfo2"), reason="needs glibc >= 2.33")
+def test_import_pins_malloc_thresholds():
+    # in a fresh interpreter, glibc's sliding mmap threshold is still 128 KiB;
+    # after import riglab an array under MMAP_THRESHOLD comes from the heap,
+    # a larger one from its own mapping (mallinfo2's hblkhd counts mappings)
+    code = f"""
+import ctypes
+import numpy as np
+import riglab
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in ("arena", "ordblks", "smblks", "hblks",
+                "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+before = mallinfo2().hblkhd
+small = np.ones({_alloc.MMAP_THRESHOLD // 2}, dtype=np.uint8)
+mid = mallinfo2().hblkhd
+large = np.ones({_alloc.MMAP_THRESHOLD + (8 << 20)}, dtype=np.uint8)
+print(mid - before, mallinfo2().hblkhd - mid >= large.nbytes)
+"""
+    assert run_fresh(code) == "0 True"
