@@ -11,12 +11,11 @@ from .degree import (CompoundPoissonSpec, DegreePmf, cpoisson_gf, cpoisson_pmf,
                      rig_pmf, rimg_gf, rimg_pmf, rimg_sample, tv_distance)
 from .experiments import (ExperimentRecord, SweepConfig, run_sweep, run_trial,
                           summarize, trial_stream)
-from .model import (BipartiteGraph, ModelParams, MultiGraph, SimpleGraph,
-                    derive_params, multi_edge_excess, project_multi,
+from .model import (BipartiteGraph, ModelParams, SimpleGraph, derive_params,
                     project_simple, sample_bipartite)
 from .theory import (CompoundPoissonOffspring, FixedPointResult,
                      RigDegreeOffspring, TailBound, branching_total,
                      chernoff_lower, chernoff_upper, extinction_mc,
-                     limit_degree_gf, solve_extinction)
+                     solve_extinction)
 
 __version__ = "0.1.0"

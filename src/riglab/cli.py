@@ -59,6 +59,16 @@ def _out_stream(path: str | None):
             yield f
 
 
+def _read_input(path: str, parse):
+    """parse(f) on the opened input file.  An input that cannot be read is a
+    usage error (ValueError, exit 1), unlike a failure to write --out."""
+    try:
+        with open(path) as f:
+            return parse(f)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _echo_params(args: argparse.Namespace) -> None:
     pairs = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
                      if k not in ("func", "command"))
@@ -133,6 +143,7 @@ def cmd_tails(args) -> int:
 
 def cmd_branching(args) -> int:
     _require_alpha_one(args)
+    r = solve_extinction(args.beta, args.gamma)  # validates beta and gamma first
     if args.offspring == "cpoisson":
         off = CompoundPoissonOffspring(
             CompoundPoissonSpec(args.beta * args.gamma, args.gamma))
@@ -143,7 +154,6 @@ def cmd_branching(args) -> int:
         off = RigDegreeOffspring(params.m, params.n, params.p)
     _, rng = trial_stream(args.seed, 0, 0)
     est, se = extinction_mc(off, args.reps, args.cap, rng)
-    r = solve_extinction(args.beta, args.gamma)
     print(f"extinction_estimate {est!r}")
     print(f"std_error {se!r}")
     print(f"fixed_point_rho {r.rho!r}")
@@ -164,8 +174,7 @@ def cmd_trial(args) -> int:
 def cmd_sweep(args) -> int:
     if args.workers < 1:  # checked before --out is opened, which truncates it
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    with open(args.config) as f:
-        config = SweepConfig.from_json(f)
+    config = _read_input(args.config, SweepConfig.from_json)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     out = args.out if args.out is not None else config.output
@@ -192,8 +201,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    with open(args.records) as f:
-        records = records_from_csv(f)
+    records = _read_input(args.records, records_from_csv)
     rows = summarize(records)
     with _out_stream(args.out) as f:
         if args.format == "json":

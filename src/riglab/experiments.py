@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 from typing import IO, Iterable
@@ -58,6 +58,13 @@ def _check_pair_budget(params: ModelParams) -> None:
             f"{PAIR_KEY_BUDGET:.3g}")
 
 
+def _parse_grid(grid) -> tuple[tuple[int, float, float], ...]:
+    if not (isinstance(grid, list)
+            and all(isinstance(t, list) and len(t) == 3 for t in grid)):
+        raise ValueError("expected a list of [n, beta, gamma] triples")
+    return tuple((int(n), float(b), float(g)) for n, b, g in grid)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid of (n, beta, gamma) triples plus replication and output settings."""
@@ -74,19 +81,37 @@ class SweepConfig:
             raise ValueError("replicates must be >= 1")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"output must be a path string, got {self.output!r}")
         for n, beta, gamma in self.grid:
             # raises on invalid or oversized triples
             _check_pair_budget(derive_params(n, beta, gamma))
 
     @classmethod
     def from_json(cls, f: IO[str]) -> "SweepConfig":
+        """Parse a config document; raises ValueError naming the field that
+        is missing or malformed."""
         doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ValueError(f"sweep config must be a JSON object, "
+                             f"got {type(doc).__name__}")
+
+        def field(name, parse, default=None):
+            if name not in doc:
+                if default is None:
+                    raise ValueError(f"sweep config field {name!r} is missing")
+                return default
+            try:
+                return parse(doc[name])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"sweep config field {name!r}: {exc}") from None
+
         return cls(
-            grid=tuple((int(n), float(b), float(g)) for n, b, g in doc["grid"]),
-            replicates=int(doc["replicates"]),
-            master_seed=int(doc["master_seed"]),
-            small_threshold_coeff=float(doc.get("small_threshold_coeff",
-                                                DEFAULT_SMALL_THRESHOLD_COEFF)),
+            grid=field("grid", _parse_grid),
+            replicates=field("replicates", int),
+            master_seed=field("master_seed", int),
+            small_threshold_coeff=field("small_threshold_coeff", float,
+                                        DEFAULT_SMALL_THRESHOLD_COEFF),
             output=doc.get("output"),
             format=doc.get("format", "csv"),
         )
@@ -175,16 +200,30 @@ def run_trial(params: ModelParams, rng: np.random.Generator,
     )
 
 
-def _trial_task(args) -> tuple[int, int, ExperimentRecord | None, str | None]:
+def _trial_task(args) -> tuple[ExperimentRecord | None, str | None]:
     master_seed, gi, rep, n, beta, gamma, coeff, live_timing = args
     try:
         params = derive_params(n, beta, gamma)
         seed_id, rng = trial_stream(master_seed, gi, rep)
-        rec = run_trial(params, rng, small_threshold_coeff=coeff,
-                        replicate=rep, seed=seed_id, live_timing=live_timing)
-        return gi, rep, rec, None
+        return run_trial(params, rng, small_threshold_coeff=coeff, replicate=rep,
+                         seed=seed_id, live_timing=live_timing), None
     except Exception as exc:  # failure isolation: record, never abort the sweep
-        return gi, rep, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _outcomes(tasks: list, workers: int):
+    """Yield each task's (record, error) in task order, from this process or
+    from a pool of `workers` processes; a task the pool lost to a dead
+    worker yields (None, "worker process died")."""
+    if workers <= 1:
+        yield from map(_trial_task, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for fut in [pool.submit(_trial_task, t) for t in tasks]:
+            try:
+                yield fut.result()
+            except BrokenProcessPool:
+                yield None, "worker process died"
 
 
 def run_sweep(config: SweepConfig, workers: int = 1, live_timing: bool = False,
@@ -203,52 +242,20 @@ def run_sweep(config: SweepConfig, workers: int = 1, live_timing: bool = False,
               config.small_threshold_coeff, live_timing)
              for gi, (n, beta, gamma) in enumerate(config.grid)
              for rep in range(config.replicates)]
-    results: dict[tuple[int, int], tuple[ExperimentRecord | None, str | None]] = {}
-
     if sink is not None:
         sink.write(",".join(RECORD_FIELDS) + "\n")
-    flushed = 0
-
-    def flush_ready():
-        nonlocal flushed
-        while flushed < len(tasks):
-            key = (tasks[flushed][1], tasks[flushed][2])
-            if key not in results:
-                break
-            rec, _ = results[key]
-            if sink is not None and rec is not None:
-                sink.write(_record_row(rec) + "\n")
-            flushed += 1
-
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        for t in tasks:
-            gi, rep, rec, err = _trial_task(t)
-            results[(gi, rep)] = (rec, err)
-            flush_ready()
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            task_of = {pool.submit(_trial_task, t): t for t in tasks}
-            pending = set(task_of)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    try:
-                        gi, rep, rec, err = fut.result()
-                    except BrokenProcessPool:
-                        gi, rep = task_of[fut][1:3]
-                        rec, err = None, "worker process died"
-                    results[(gi, rep)] = (rec, err)
-                flush_ready()
-
     records = []
     failures = []
-    for t in tasks:
-        rec, err = results[(t[1], t[2])]
-        if rec is not None:
-            records.append(rec)
-        else:
+    # outcomes come first, so that zip runs the generator to its end, which
+    # shuts the pool down before run_sweep returns
+    outcomes = _outcomes(tasks, min(workers, len(tasks)))
+    for (rec, err), t in zip(outcomes, tasks):
+        if rec is None:
             failures.append({"grid_index": t[1], "replicate": t[2], "error": err})
+            continue
+        records.append(rec)
+        if sink is not None:
+            sink.write(_record_row(rec) + "\n")
     return SweepResult(records=tuple(records), failures=tuple(failures))
 
 

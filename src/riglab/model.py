@@ -3,8 +3,8 @@
 A graph on n vertices is built from an auxiliary bipartite graph: m auxiliary
 vertices, each (vertex, auxiliary) edge present independently with probability
 p.  Two vertices of the intersection graph are adjacent iff they share at
-least one auxiliary vertex; counting shared auxiliaries instead of collapsing
-them gives the multigraph sibling.
+least one auxiliary vertex.  The projection also returns the multi-edge
+excess eta: the sum, over adjacent pairs, of their shared auxiliaries minus one.
 """
 
 from __future__ import annotations
@@ -19,13 +19,10 @@ __all__ = [
     "ModelParams",
     "BipartiteGraph",
     "SimpleGraph",
-    "MultiGraph",
     "derive_params",
     "sample_bipartite",
     "sample_aux_lists",
     "project_simple",
-    "project_multi",
-    "multi_edge_excess",
     "project_with_excess",
     "write_bipartite",
     "read_bipartite",
@@ -58,11 +55,15 @@ class ModelParams:
 def derive_params(n: int, beta: float, gamma: float, alpha: float = 1.0) -> ModelParams:
     """Validate (n, beta, gamma, alpha) and derive m, p, mu.
 
-    Raises ValueError if n < 1, beta or gamma is negative, or the derived
-    edge probability exceeds 1 (gamma too large for the given n).
+    Raises ValueError if n < 1, beta, gamma or alpha is NaN or infinite,
+    beta or gamma is negative, or the derived edge probability exceeds 1
+    (gamma too large for the given n).
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    if not all(map(math.isfinite, (beta, gamma, alpha))):
+        raise ValueError(f"beta, gamma and alpha must be finite, "
+                         f"got {beta}, {gamma}, {alpha}")
     if beta < 0 or gamma < 0:
         raise ValueError(f"beta and gamma must be non-negative, got {beta}, {gamma}")
     prod = beta * n
@@ -203,33 +204,6 @@ class SimpleGraph:
         return nbrs[offsets[vertex]:offsets[vertex + 1]]
 
 
-@dataclass(frozen=True, eq=False)
-class MultiGraph:
-    """Multigraph projection: distinct pairs with shared-auxiliary counts."""
-
-    n: int
-    u: np.ndarray
-    v: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def total_edge_count(self) -> int:
-        """Edge count with multiplicity."""
-        return int(self.counts.sum())
-
-    @property
-    def distinct_pair_count(self) -> int:
-        return len(self.u)
-
-    def multiplicities(self) -> dict[tuple[int, int], int]:
-        return {(int(a), int(b)): int(c)
-                for a, b, c in zip(self.u, self.v, self.counts)}
-
-    def collapse(self) -> SimpleGraph:
-        """Coalesce parallel edges; yields the simple projection."""
-        return SimpleGraph(self.n, self.u.copy(), self.v.copy())
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -351,51 +325,25 @@ def _pair_keys(b: BipartiteGraph) -> np.ndarray:
     return left
 
 
-def _sorted_pairs(b: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Pair keys in ascending order, sorted in place, and the mask of the
-    first key of each run of equal keys."""
-    keys = _pair_keys(b)
-    keys.sort()
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys, first
-
-
-def _split_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keys // n, keys % n); the quotient overwrites `keys`."""
-    v = keys % n
-    keys //= n
-    return keys, v
-
-
 def project_simple(b: BipartiteGraph) -> SimpleGraph:
     """Deduplicated one-mode projection: i ~ j iff they share an auxiliary."""
     return project_with_excess(b)[0]
 
 
-def project_multi(b: BipartiteGraph) -> MultiGraph:
-    """Multigraph projection: multiplicity = number of shared auxiliaries."""
-    keys, first = _sorted_pairs(b)
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=keys.size)
-    u, v = _split_keys(keys[starts], b.n)
-    return MultiGraph(n=b.n, u=u, v=v, counts=counts)
-
-
-def multi_edge_excess(b: BipartiteGraph) -> int:
-    """Multigraph edge count (with multiplicity) minus simple edge count."""
-    keys, first = _sorted_pairs(b)
-    return keys.size - int(np.count_nonzero(first))
-
-
 def project_with_excess(b: BipartiteGraph) -> tuple[SimpleGraph, int]:
-    """Simple projection plus the multi-edge excess, sharing one pair pass."""
-    keys, first = _sorted_pairs(b)
-    distinct = keys[first]
-    eta = keys.size - distinct.size
+    """Simple projection plus the multi-edge excess eta, the number of pair
+    keys beyond the first of each distinct pair, from one sorted pair pass."""
+    keys = _pair_keys(b)
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    u = keys[first]
+    eta = keys.size - u.size
     del keys, first
-    return SimpleGraph(b.n, *_split_keys(distinct, b.n)), eta
+    v = u % b.n
+    u //= b.n
+    return SimpleGraph(b.n, u, v), eta
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Analytic predictions: limiting generating function, extinction fixed point,
-branching-process total sizes, and optimized exponential tail bounds."""
+"""Analytic predictions: extinction fixed point, branching-process total
+sizes, and optimized exponential tail bounds."""
 
 from __future__ import annotations
 
@@ -8,13 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import (CompoundPoissonSpec, cpoisson_gf, cpoisson_sample,
-                     rig_degree_sample, rig_gf, rimg_log_gf)
+from .degree import CompoundPoissonSpec, rig_degree_sample, rig_gf, rimg_log_gf
 
 __all__ = [
     "FixedPointResult",
     "TailBound",
-    "limit_degree_gf",
     "solve_extinction",
     "CompoundPoissonOffspring",
     "RigDegreeOffspring",
@@ -23,12 +21,6 @@ __all__ = [
     "chernoff_upper",
     "chernoff_lower",
 ]
-
-
-def limit_degree_gf(beta: float, gamma: float, s: float) -> float:
-    """Generating function of the limiting compound Poisson degree law,
-    exp{beta*gamma (e^{gamma(s-1)} - 1)}, for s in [0, 1]."""
-    return cpoisson_gf(CompoundPoissonSpec(beta * gamma, gamma), s)
 
 
 @dataclass(frozen=True)
@@ -61,8 +53,11 @@ def solve_extinction(beta: float, gamma: float, tol: float = 1e-13,
     below 1.  A search outward from the last iterate, in doubling steps, then
     brackets the root with signs of h that exceed its rounding error.  rho is
     the last iterate, kept inside the bracket, so rho < 1 whenever mu > 1;
-    converged means the certified error is at most `tol`.
+    converged means the certified error is at most `tol`.  Raises ValueError
+    if beta or gamma is NaN, infinite or negative.
     """
+    if not (math.isfinite(beta) and math.isfinite(gamma)):
+        raise ValueError(f"beta and gamma must be finite, got {beta}, {gamma}")
     if beta < 0 or gamma < 0:
         raise ValueError("beta and gamma must be non-negative")
     mu = beta * gamma * gamma
@@ -127,9 +122,6 @@ class CompoundPoissonOffspring:
 
     def __init__(self, spec: CompoundPoissonSpec):
         self.spec = spec
-
-    def sample(self, rng, size=None):
-        return cpoisson_sample(self.spec, rng, size)
 
     def total_children(self, rng, pop: int) -> int:
         # the pooled offspring of a generation is itself compound Poisson:

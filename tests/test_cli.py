@@ -70,6 +70,13 @@ class TestRho:
         assert float(vals["rho"]) == pytest.approx(0.99990000667, abs=1e-11)
         assert 0.0 < float(vals["error_bound"]) <= 1e-13
 
+    @pytest.mark.parametrize("beta,gamma", [("1", "nan"), ("inf", "1"),
+                                            ("nan", "1"), ("1", "-inf")])
+    def test_non_finite_exits_one(self, capsys, beta, gamma):
+        code, out, err = run_cli(capsys, "rho", f"--beta={beta}", f"--gamma={gamma}")
+        assert code == 1
+        assert "finite" in err and out == ""
+
     def test_alpha_rejected(self, capsys):
         code, _, err = run_cli(capsys, "rho", "--beta", "1", "--gamma", "2",
                                "--alpha", "2")
@@ -174,6 +181,13 @@ class TestBranching:
         est, se = float(vals["extinction_estimate"]), float(vals["std_error"])
         assert abs(est - float(vals["fixed_point_rho"])) < 3 * se
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_exits_one(self, capsys, beta):
+        code, out, err = run_cli(capsys, "branching", "--beta", beta, "--gamma", "1",
+                                 "--reps", "10")
+        assert code == 1
+        assert "finite" in err and out == ""
+
     def test_rig_requires_n(self, capsys):
         code, _, err = run_cli(capsys, "branching", "--beta", "1", "--gamma", "2",
                                "--offspring", "rig", "--reps", "10", "--cap", "100")
@@ -234,6 +248,52 @@ class TestTrialSweepSummarize:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
         assert code == 1
         assert "exceeds 1" in err
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"grid": [[100, 1.0, float("nan")]], "replicates": 1, "master_seed": 1},
+         "finite"),
+        ({"grid": [[100, 1.0, "nan"]], "replicates": 1, "master_seed": 1}, "finite"),
+        ({"replicates": 1, "master_seed": 1}, "'grid' is missing"),
+        ({"grid": {"100": [1.0, 1.0]}, "replicates": 1, "master_seed": 1}, "'grid'"),
+        ({"grid": [[100, 1.0]], "replicates": 1, "master_seed": 1}, "'grid'"),
+        ({"grid": [[100, 1.0, 1.0]], "replicates": "two", "master_seed": 1},
+         "'replicates'"),
+        ([[100, 1.0, 1.0]], "JSON object"),
+        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1, "output": 5},
+         "output"),
+    ])
+    def test_sweep_malformed_config_exits_one(self, capsys, tmp_path, doc, message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path),
+                                 "--workers", "1")
+        assert code == 1
+        assert message in err and out == ""
+
+    @pytest.mark.parametrize("command,flag", [("sweep", "--config"),
+                                              ("summarize", "--records")])
+    def test_unreadable_input_exits_one(self, capsys, tmp_path, command, flag):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(capsys, command, flag, str(missing))
+        assert code == 1
+        assert f"cannot read {missing}" in err and out == ""
+
+    def test_sweep_unwritable_out_exits_two(self, capsys, tmp_path):
+        cfg_path = tmp_path / "s.json"
+        cfg_path.write_text(json.dumps({"grid": [[50, 1.0, 1.0]],
+                                        "replicates": 1, "master_seed": 1}))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path),
+                               "--workers", "1", "--out", str(blocker / "r.csv"))
+        assert code == 2
+        assert "runtime failure" in err
+
+    def test_trial_non_finite_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "trial", "--n", "10", "--beta", "inf",
+                                 "--gamma", "1")
+        assert code == 1
+        assert "finite" in err and out == ""
 
     def test_trial_over_pair_budget_exits_one(self, capsys, monkeypatch):
         def no_sampling(*args):

@@ -16,6 +16,7 @@ from riglab.experiments import (ExperimentRecord, SweepConfig, records_from_csv,
 from riglab.model import derive_params, sample_bipartite
 
 _real_trial_task = experiments._trial_task
+_real_run_trial = experiments.run_trial
 
 
 def _dying_task(args):
@@ -23,6 +24,13 @@ def _dying_task(args):
     if args[2] == 1:  # replicate
         os._exit(1)
     return _real_trial_task(args)
+
+
+def _failing_run_trial(params, rng, **kwargs):
+    # module level and deterministic, so that forked workers fail alike
+    if kwargs["replicate"] == 1:
+        raise RuntimeError("injected")
+    return _real_run_trial(params, rng, **kwargs)
 
 
 class _RecordingPool:
@@ -237,6 +245,20 @@ class TestRunSweep:
         assert result.failures[0]["replicate"] == 1
         assert "injected" in result.failures[0]["error"]
 
+    def test_failure_identical_across_workers(self, monkeypatch):
+        monkeypatch.setattr(experiments, "run_trial", _failing_run_trial)
+        config = small_config()  # 2 grid points x 3 replicates
+        runs = []
+        for workers in (1, 2):
+            buf = io.StringIO()
+            runs.append((run_sweep(config, workers=workers, sink=buf), buf.getvalue()))
+        (serial, serial_csv), (pooled, pooled_csv) = runs
+        assert [(f["grid_index"], f["replicate"]) for f in serial.failures] == [(0, 1), (1, 1)]
+        assert all(f["error"] == "RuntimeError: injected" for f in serial.failures)
+        assert [r.replicate for r in serial.records] == [0, 2, 0, 2]
+        assert pooled == serial
+        assert pooled_csv == serial_csv
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -347,6 +369,8 @@ class TestSerialization:
             SweepConfig(grid=((4, 1.0, 9.0),), replicates=1, master_seed=1)
         with pytest.raises(ValueError):
             small_config(format="xml")
+        with pytest.raises(ValueError, match="finite"):
+            SweepConfig(grid=((10, 1.0, math.nan),), replicates=1, master_seed=1)
 
 
 class TestSummarize:

@@ -1,15 +1,16 @@
 import io
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riglab.model import (BipartiteGraph, derive_params, multi_edge_excess,
-                          project_multi, project_simple, project_with_excess,
-                          read_bipartite, sample_aux_lists, sample_bipartite,
-                          write_bipartite)
+from riglab.model import (BipartiteGraph, derive_params, project_simple,
+                          project_with_excess, read_bipartite, sample_aux_lists,
+                          sample_bipartite, write_bipartite)
 
 import oracle
 
@@ -59,6 +60,14 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             derive_params(10, 1.0, -0.1)
 
+    @pytest.mark.parametrize("beta,gamma,alpha", [
+        (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (math.inf, 1.0, 1.0),
+        (1.0, math.inf, 1.0), (1.0, -math.inf, 1.0), (1.0, 1.0, math.nan),
+    ])
+    def test_rejects_non_finite(self, beta, gamma, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            derive_params(10, beta, gamma, alpha)
+
 
 # ---------------------------------------------------------------------------
 # bipartite sampling
@@ -107,12 +116,19 @@ class TestSampleBipartite:
 # projections
 # ---------------------------------------------------------------------------
 
+def shared_counts(b: BipartiteGraph) -> dict[tuple[int, int], int]:
+    """Shared auxiliaries per vertex pair i < j that shares at least one."""
+    counts = Counter()
+    for lst in b.lists():
+        counts.update(itertools.combinations(lst.tolist(), 2))
+    return dict(counts)
+
+
 class TestProjections:
     def test_empty(self):
         b = BipartiteGraph.from_lists(4, [[], []])
-        assert project_simple(b).edge_count == 0
-        assert project_multi(b).distinct_pair_count == 0
-        assert multi_edge_excess(b) == 0
+        g, eta = project_with_excess(b)
+        assert g.edge_count == 0 and eta == 0
 
     def test_triangle(self):
         b = BipartiteGraph.from_lists(3, [[0, 1, 2]])
@@ -125,24 +141,25 @@ class TestProjections:
 
     def test_multiplicities(self):
         b = BipartiteGraph.from_lists(3, [[0, 1], [0, 1], [1, 2]])
-        assert project_multi(b).multiplicities() == {(0, 1): 2, (1, 2): 1}
+        g, eta = project_with_excess(b)
+        assert g.edge_set() == {(0, 1), (1, 2)} and eta == 1
 
     def test_parallel_pair(self):
         b = BipartiteGraph.from_lists(2, [[0, 1], [0, 1], [0, 1]])
-        mg = project_multi(b)
-        assert mg.multiplicities() == {(0, 1): 3}
-        assert mg.total_edge_count == 3
+        g, eta = project_with_excess(b)
+        assert g.edge_set() == {(0, 1)} and eta == 2
 
     def test_excess_forced(self):
         # n=2, m=2, p=1: two parallel edges collapse to one
         b = sample_aux_lists(2, 2, 1.0, rng())
-        assert multi_edge_excess(b) == 1
+        assert project_with_excess(b)[1] == 1
 
     def test_project_with_excess_matches(self):
         b = sample_aux_lists(40, 50, 0.1, rng(9))
+        shared = shared_counts(b)
         g, eta = project_with_excess(b)
-        assert g.edge_set() == project_simple(b).edge_set()
-        assert eta == multi_edge_excess(b)
+        assert g.edge_set() == set(shared)
+        assert eta == sum(c - 1 for c in shared.values())
 
     def test_adjacency_symmetric(self):
         b = sample_aux_lists(25, 30, 0.1, rng(5))
@@ -164,27 +181,14 @@ def bipartite_graphs(draw):
 
 class TestProjectionProperties:
     @given(bipartite_graphs())
-    @settings(max_examples=80, deadline=None)
-    def test_multi_collapses_to_simple(self, b):
-        assert project_multi(b).collapse().edge_set() == project_simple(b).edge_set()
-
-    @given(bipartite_graphs())
-    @settings(max_examples=80, deadline=None)
-    def test_excess_nonnegative_and_consistent(self, b):
-        mg = project_multi(b)
-        eta = multi_edge_excess(b)
-        assert eta == mg.total_edge_count - project_simple(b).edge_count
-        assert eta >= 0
-        if eta == 0:
-            assert all(c == 1 for c in mg.counts.tolist())
-
-    @given(bipartite_graphs())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_multiplicity_counts_shared_auxiliaries(self, b):
-        mults = project_multi(b).multiplicities()
-        lists = [set(lst.tolist()) for lst in b.lists()]
-        for (i, j), c in mults.items():
-            assert c == sum(1 for s in lists if i in s and j in s)
+        # edges: the pairs sharing an auxiliary, as sorted unique (u < v);
+        # eta: the sum over those pairs of (shared auxiliaries - 1)
+        shared = shared_counts(b)
+        g, eta = project_with_excess(b)
+        assert list(zip(g.u.tolist(), g.v.tolist())) == sorted(shared)
+        assert eta == sum(c - 1 for c in shared.values())
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +201,7 @@ class TestSamplingStatistics:
         params = derive_params(1000, 1.0, 1.0)
         g = rng(2024)
         reps = 10_000
-        etas = np.array([multi_edge_excess(sample_bipartite(params, g))
+        etas = np.array([project_with_excess(sample_bipartite(params, g))[1]
                          for _ in range(reps)])
         expected = oracle.exact_eta_mean(params.n, params.m, params.p)
         se = etas.std(ddof=1) / math.sqrt(reps)

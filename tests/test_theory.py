@@ -6,14 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from riglab.degree import CompoundPoissonSpec, rig_degree_sample, rig_gf, rimg_log_gf
+from riglab.degree import (CompoundPoissonSpec, cpoisson_gf, cpoisson_sample,
+                           rig_degree_sample, rig_gf, rimg_log_gf)
 from riglab.theory import (CompoundPoissonOffspring, RigDegreeOffspring,
                            branching_total, chernoff_lower, chernoff_upper,
-                           extinction_mc, limit_degree_gf, solve_extinction)
+                           extinction_mc, solve_extinction)
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def limit_gf(beta, gamma, s):
+    """Generating function of the limiting degree law CPoisson(beta*gamma, gamma)."""
+    return cpoisson_gf(CompoundPoissonSpec(beta * gamma, gamma), s)
 
 
 class ConstantOffspring:
@@ -21,11 +27,6 @@ class ConstantOffspring:
 
     def __init__(self, value: int):
         self.value = int(value)
-
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value, dtype=np.int64)
 
     def total_children(self, rng, pop: int) -> int:
         return self.value * pop
@@ -37,15 +38,15 @@ class ConstantOffspring:
 
 class TestLimitGf:
     def test_normalization(self):
-        assert limit_degree_gf(1.0, 2.0, 1.0) == 1.0
+        assert limit_gf(1.0, 2.0, 1.0) == 1.0
 
     def test_hand_value(self):
-        assert limit_degree_gf(1.0, 1.0, 0.0) == \
+        assert limit_gf(1.0, 1.0, 0.0) == \
             pytest.approx(0.5314636053866156, abs=1e-15)
 
     def test_increasing_and_convex(self):
         s = np.linspace(0.0, 1.0, 100)
-        vals = np.array([limit_degree_gf(1.0, 2.0, t) for t in s])
+        vals = np.array([limit_gf(1.0, 2.0, t) for t in s])
         assert (np.diff(vals) > 0).all()
         assert (np.diff(vals, 2) > -1e-12).all()
 
@@ -68,7 +69,7 @@ class TestSolveExtinction:
     def test_vs_independent_root_finder(self):
         for beta, gamma in [(1.0, 2.0), (2.0, 1.0), (0.5, 3.0), (1.0, 1.5)]:
             r = solve_extinction(beta, gamma)
-            ref = brentq(lambda t: limit_degree_gf(beta, gamma, t) - t,
+            ref = brentq(lambda t: limit_gf(beta, gamma, t) - t,
                          0.0, 1.0 - 1e-9, xtol=1e-14)
             assert r.rho == pytest.approx(ref, abs=1e-9)
 
@@ -78,6 +79,12 @@ class TestSolveExtinction:
         assert r.regime == "critical"
         assert r.rho == 1.0
 
+    @pytest.mark.parametrize("beta,gamma", [(1.0, math.nan), (math.nan, 1.0),
+                                            (math.inf, 1.0), (1.0, -math.inf)])
+    def test_rejects_non_finite(self, beta, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            solve_extinction(beta, gamma)
+
     def test_degenerate_offspring(self):
         r = solve_extinction(0.0, 3.0)
         assert r.rho == 1.0 and r.regime == "subcritical"
@@ -85,14 +92,14 @@ class TestSolveExtinction:
     def test_rho_is_smallest_root(self):
         r = solve_extinction(1.0, 2.0)
         xs = np.linspace(0.0, r.rho * (1 - 1e-9), 1000)
-        assert all(limit_degree_gf(1.0, 2.0, x) > x for x in xs)
+        assert all(limit_gf(1.0, 2.0, x) > x for x in xs)
 
     @pytest.mark.parametrize("gamma", [1.0, 0.5, 2.0])
     @pytest.mark.parametrize("mu", [1.0 + 1e-4, 1.0 + 1e-3, 1.01])
     def test_near_critical_vs_brentq(self, mu, gamma):
         beta = mu / gamma ** 2
         r = solve_extinction(beta, gamma)
-        ref = brentq(lambda t: limit_degree_gf(beta, gamma, t) - t,
+        ref = brentq(lambda t: limit_gf(beta, gamma, t) - t,
                      0.0, 1.0 - 1e-9, xtol=1e-15)
         assert r.rho < 1.0 and r.converged
         assert r.rho == pytest.approx(ref, abs=1e-11)
@@ -197,10 +204,11 @@ class TestBranching:
         assert est == 1.0
 
     def test_offspring_samplers_agree_with_totals(self):
-        # pooled-generation shortcut must match the plain sample() law
+        # pooled-generation shortcut must match the sum of single draws
         off = CompoundPoissonOffspring(CompoundPoissonSpec(1.0, 2.0))
         a = np.array([off.total_children(rng(100 + i), 7) for i in range(4000)])
-        b = np.array([off.sample(rng(10_000 + i), size=7).sum() for i in range(4000)])
+        b = np.array([cpoisson_sample(off.spec, rng(10_000 + i), size=7).sum()
+                      for i in range(4000)])
         assert abs(a.mean() - b.mean()) < 4 * (a.std() + b.std()) / math.sqrt(4000)
         assert abs(a.mean() - 7 * 2.0) < 4 * a.std() / math.sqrt(4000)
 
