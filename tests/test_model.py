@@ -180,6 +180,25 @@ def bipartite_graphs(draw):
 
 
 class TestProjectionProperties:
+    # the multigraph: one edge per vertex pair per auxiliary they share,
+    # held as the shared-auxiliary count of each pair
+    @given(bipartite_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_multi_collapses_to_simple(self, b):
+        collapsed = set(shared_counts(b))
+        assert collapsed == project_simple(b).edge_set()
+        assert project_with_excess(b)[0].edge_set() == collapsed
+
+    @given(bipartite_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_excess_nonnegative_and_consistent(self, b):
+        counts = shared_counts(b)
+        eta = project_with_excess(b)[1]
+        assert eta == sum(counts.values()) - project_simple(b).edge_count
+        assert eta >= 0
+        if eta == 0:
+            assert all(c == 1 for c in counts.values())
+
     @given(bipartite_graphs())
     @settings(max_examples=100, deadline=None)
     def test_multiplicity_counts_shared_auxiliaries(self, b):
