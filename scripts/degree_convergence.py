@@ -7,7 +7,6 @@ distance decays like 1/n, so the n*tv column settles to a constant.
 """
 
 import argparse
-import math
 import sys
 
 from riglab.degree import CompoundPoissonSpec, cpoisson_pmf, rig_pmf, tv_distance
@@ -23,10 +22,7 @@ def main() -> int:
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args()
 
-    mean = args.beta * args.gamma ** 2
-    var = mean * (1.0 + args.gamma)
-    kmax = math.ceil(mean + 12.0 * math.sqrt(max(var, 1e-12)) + 20)
-    limit = cpoisson_pmf(CompoundPoissonSpec(args.beta * args.gamma, args.gamma), kmax)
+    limit = cpoisson_pmf(CompoundPoissonSpec(args.beta * args.gamma, args.gamma))
 
     lines = ["n,tv,n_tv"]
     for n in args.ns:

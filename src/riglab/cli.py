@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import math
 import os
 import sys
 from pathlib import Path
@@ -38,25 +37,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _resolve_out(path: str | None) -> Path | None:
-    if path is None:
-        return None
-    p = Path(path)
-    outdir = os.environ.get("RIGLAB_OUTDIR")
-    if outdir and not p.is_absolute():
-        p = Path(outdir) / p
-    return p
-
-
 @contextlib.contextmanager
 def _out_stream(path: str | None):
-    p = _resolve_out(path)
-    if p is None:
+    if path is None:
         yield sys.stdout
-    else:
-        p.parent.mkdir(parents=True, exist_ok=True)
-        with open(p, "w") as f:
-            yield f
+        return
+    # joined to $RIGLAB_OUTDIR unless absolute (an absolute path replaces it)
+    p = Path(os.environ.get("RIGLAB_OUTDIR", "")) / path
+    p.parent.mkdir(parents=True, exist_ok=True)
+    with open(p, "w") as f:
+        yield f
 
 
 def _read_input(path: str, parse):
@@ -99,11 +89,7 @@ def cmd_degree(args) -> int:
     params = derive_params(args.n, args.beta, args.gamma, args.alpha)
     if args.source == "limit":
         _require_alpha_one(args)
-        mean = params.mu
-        var = params.beta * args.gamma ** 2 * (1.0 + args.gamma)
-        kmax = args.kmax if args.kmax is not None else \
-            math.ceil(mean + 12.0 * math.sqrt(max(var, 1e-12)) + 20)
-        pmf = cpoisson_pmf(CompoundPoissonSpec(args.beta * args.gamma, args.gamma), kmax)
+        pmf = cpoisson_pmf(CompoundPoissonSpec(args.beta * args.gamma, args.gamma), args.kmax)
     elif args.source == "exact":
         pmf = rig_pmf(params.m, params.n, params.p, mode="exact")
     else:

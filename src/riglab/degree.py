@@ -29,7 +29,6 @@ __all__ = [
     "cpoisson_gf",
     "cpoisson_pmf",
     "cpoisson_sample",
-    "rimg_gf",
     "rimg_log_gf",
     "rimg_pmf",
     "rimg_sample",
@@ -147,12 +146,42 @@ def _cover_prob(p: float, N):
     return -np.expm1(N * math.log1p(-p))
 
 
+def _mixture_pmf(m: int, p: float, component, length: int,
+                 kmax: int | None = None) -> DegreePmf:
+    """sum_N Bin(m,p)(N) Bin(component(N))(k) for k = 0..kmax (default: the
+    bulk of the last row, which dominates), zero-padded to `length`, over the
+    N in the bulk of Bin(m, p) weighing at least _MIXTURE_CUT; the tail holds
+    the rows cut and each row's exact mass beyond kmax.  Refuses rows x
+    (kmax+1) entries plus `length` over EXACT_PMF_BUDGET before allocating."""
+    from scipy.special import bdtrc
+
+    lo, hi = _bulk(m, p)
+    if kmax is None:
+        kmax = _bulk(*component(hi))[1]
+    if (hi - lo + 1) * (kmax + 1) + length > EXACT_PMF_BUDGET:
+        raise ValueError(
+            f"exact pmf needs {hi - lo + 1} x {kmax + 1} mixture entries plus {length} "
+            f"degrees, over the budget of {EXACT_PMF_BUDGET}")
+    rows = np.arange(lo, hi + 1)
+    w = _binom_pmf(rows, m, p)
+    keep = w >= _MIXTURE_CUT
+    size, prob = component(rows[keep])
+    probs = np.zeros(length)
+    probs[:kmax + 1] = w[keep] @ _binom_pmf(np.arange(kmax + 1), np.asarray(size)[..., None],
+                                            np.asarray(prob)[..., None])
+    # bdtrc(k, size, .) is NaN for k > size, where the mass beyond k is 0
+    tail = w[~keep].sum() + w[keep] @ bdtrc(np.minimum(kmax, size), size, prob)
+    return DegreePmf(probs, float(tail))
+
+
 def rig_gf(m: int, n: int, p: float, z: float) -> float:
     """Probability generating function of the simple-projection degree law.
 
-    Sum over j of Binom(n-1, z) pmf times [1 - p + p(1-p)^(n-1-j)]^m; every
-    summand is non-negative for z in [0, 1], so evaluation is stable there.
-    Rejects z outside [0, 1].
+    sum_N Bin(m,p)(N) (1 - q_N (1-z))^(n-1), q_N = 1 - (1-p)^N, over every N
+    up to the top of the bulk of Bin(m, p), with no row of small weight cut,
+    as at z < 1 such rows can carry most of the sum.  Summands are non-negative
+    and fall as N grows, so the rows above the bulk weigh under 1e-21 of the
+    sum, and the cost does not grow with n.  Rejects z outside [0, 1].
     """
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"z must be in [0,1], got {z}")
@@ -160,43 +189,10 @@ def rig_gf(m: int, n: int, p: float, z: float) -> float:
         raise ValueError(f"p must be in [0,1], got {p}")
     from scipy.special import xlog1py
 
-    j = np.arange(n)
-    # [1 - p(1 - (1-p)^(n-1-j))]^m, which is 1 at m = 0 even where the base is 0
-    return float(_binom_pmf(j, n - 1, z) @ np.exp(xlog1py(m, -p * _cover_prob(p, n - 1 - j))))
-
-
-def _rig_pmf_mixture(m: int, n: int, p: float) -> DegreePmf:
-    """P(D=k) = sum_N Bin(m,p)(N) Bin(n-1, 1-(1-p)^N)(k): no term is negative,
-    so float64 suffices.  Rows N: the bulk of Bin(m, p), less rows weighing
-    under _MIXTURE_CUT; degrees: the bulk of the last row, which dominates the
-    others.  The tail holds the rows cut and the degrees beyond the bulk (the
-    under 1e-21 of Bin(m, p) outside its bulk is not counted)."""
-    from scipy.special import bdtrc
-
-    lo, hi = _bulk(m, p)
-    kmax = _bulk(n - 1, _cover_prob(p, hi))[1]
-    if (hi - lo + 1) * (kmax + 1) + n > EXACT_PMF_BUDGET:
-        raise ValueError(
-            f"exact pmf needs {hi - lo + 1} x {kmax + 1} mixture entries plus {n} "
-            f"degrees, over the budget of {EXACT_PMF_BUDGET}; use mode='empirical'")
-    rows = np.arange(lo, hi + 1)
-    w = _binom_pmf(rows, m, p)
-    keep = w >= _MIXTURE_CUT
-    q = _cover_prob(p, rows[keep])
-    probs = np.zeros(n)
-    probs[:kmax + 1] = w[keep] @ _binom_pmf(np.arange(kmax + 1), n - 1, q[:, None])
-    tail = w[~keep].sum() + w[keep] @ bdtrc(kmax, n - 1, q)
-    return DegreePmf(probs, float(tail))
-
-
-def _rig_pmf_empirical(m: int, n: int, p: float, rng: np.random.Generator,
-                       samples: int) -> DegreePmf:
-    """Degree frequencies over sampled graphs; ceil(samples/n) graphs, all
-    vertices of each graph contribute one sample."""
-    counts = np.bincount(np.concatenate([
-        project_simple(sample_aux_lists(n, m, p, rng)).degrees()
-        for _ in range(-(-samples // n))]))
-    return DegreePmf(counts / counts.sum())
+    rows = np.arange(_bulk(m, p)[1] + 1)
+    # xlog1py keeps (1 - q(1-z))^0 = 1 at n = 1 even where the base is 0
+    return float(_binom_pmf(rows, m, p)
+                 @ np.exp(xlog1py(n - 1, -_cover_prob(p, rows) * (1.0 - z))))
 
 
 def rig_pmf(m: int, n: int, p: float, mode: str = "exact",
@@ -204,15 +200,24 @@ def rig_pmf(m: int, n: int, p: float, mode: str = "exact",
             samples: int | None = None) -> DegreePmf:
     """Degree pmf of the simple projection, exact or sampled.
 
-    Exact mode returns n entries and refuses a mixture block larger than
-    EXACT_PMF_BUDGET.  Empirical mode needs rng and a vertex sample count.
+    Exact mode is the mixture P(D=k) = sum_N Bin(m,p)(N) Bin(n-1, 1-(1-p)^N)(k),
+    whose terms are all non-negative, up to the bulk of its last row, which
+    dominates the others; it returns n entries and refuses a mixture block
+    larger than EXACT_PMF_BUDGET.  Empirical mode needs rng and a vertex
+    sample count, and takes every vertex of ceil(samples/n) sampled graphs.
     """
     if mode == "exact":
-        return _rig_pmf_mixture(m, n, p)
+        try:
+            return _mixture_pmf(m, p, lambda N: (n - 1, _cover_prob(p, N)), n)
+        except ValueError as exc:  # the budget refusal
+            raise ValueError(f"{exc}; use mode='empirical'") from None
     if mode == "empirical":
         if rng is None or samples is None or samples < 1:
             raise ValueError("empirical mode requires rng and samples >= 1")
-        return _rig_pmf_empirical(m, n, p, rng, samples)
+        counts = np.bincount(np.concatenate([
+            project_simple(sample_aux_lists(n, m, p, rng)).degrees()
+            for _ in range(-(-samples // n))]))
+        return DegreePmf(counts / counts.sum())
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -257,16 +262,19 @@ def cpoisson_gf(spec: CompoundPoissonSpec, s: float) -> float:
     return math.exp(spec.lambda1 * math.expm1(spec.lambda2 * (s - 1.0)))
 
 
-def cpoisson_pmf(spec: CompoundPoissonSpec, kmax: int) -> DegreePmf:
+def cpoisson_pmf(spec: CompoundPoissonSpec, kmax: int | None = None) -> DegreePmf:
     """Truncated compound Poisson pmf with explicit tail mass.
 
     Outer Poisson(lambda1) sum truncated once its cumulative weight exceeds
     1 - 1e-12; conditional on j outer events the total is Poisson(j*lambda2).
-    Rejects kmax so small that the tail mass exceeds 0.1.
+    kmax defaults to the mean plus 12 sd plus 20.  Rejects kmax so small that
+    the tail mass exceeds 0.1.
     """
+    l1, l2 = spec.lambda1, spec.lambda2
+    if kmax is None:
+        kmax = math.ceil(l1 * l2 + 12.0 * math.sqrt(max(l1 * l2 * (1.0 + l2), 1e-12)) + 20)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    l1, l2 = spec.lambda1, spec.lambda2
     ks = np.arange(kmax + 1)
     if l1 == 0.0 or l2 == 0.0:
         probs = np.zeros(kmax + 1)
@@ -330,29 +338,12 @@ def rimg_log_gf(m: int, n: int, p: float, z: float) -> float:
     return float(m * np.logaddexp(math.log1p(-p), math.log(p) + a))
 
 
-def rimg_gf(m: int, n: int, p: float, z: float) -> float:
-    """Multigraph-degree generating function; rejects values outside the
-    representable exponent range rather than overflowing."""
-    lg = rimg_log_gf(m, n, p, z)
-    if lg > 709.0:
-        raise OverflowError(f"rimg_gf exponent {lg} exceeds float range")
-    return math.exp(lg)
-
-
 def rimg_pmf(m: int, n: int, p: float, kmax: int | None = None) -> DegreePmf:
-    """Exact compound binomial pmf: N ~ Binomial(m, p) auxiliaries, total
-    degree Binomial(N(n-1), p).  Support is finite (<= m(n-1)).  Refuses an
-    (m+1) x (kmax+1) block of binomial pmfs larger than EXACT_PMF_BUDGET."""
-    if kmax is None:
-        kmax = m * (n - 1)
-    if (m + 1) * (kmax + 1) > EXACT_PMF_BUDGET:
-        raise ValueError(
-            f"rimg pmf needs {m + 1} x {kmax + 1} binomial entries, over the "
-            f"budget of {EXACT_PMF_BUDGET}")
-    a = np.arange(m + 1)
-    probs = _binom_pmf(a, m, p) @ _binom_pmf(np.arange(kmax + 1), (a * (n - 1))[:, None], p)
-    tail = max(0.0, 1.0 - float(probs.sum()))
-    return DegreePmf(probs, tail)
+    """Exact compound binomial pmf on 0..kmax (default m(n-1), all the support):
+    N ~ Binomial(m, p) auxiliaries, then degree Binomial(N(n-1), p), on the
+    mixture rows of rig_pmf.  Refuses a mixture block over EXACT_PMF_BUDGET."""
+    kmax = m * (n - 1) if kmax is None else kmax
+    return _mixture_pmf(m, p, lambda N: (N * (n - 1), p), kmax + 1, kmax)
 
 
 def rimg_sample(m: int, n: int, p: float, rng: np.random.Generator,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -19,7 +20,8 @@ from typing import IO, Iterable
 import numpy as np
 
 from .components import census, small_fraction
-from .model import ModelParams, derive_params, project_with_excess, sample_bipartite
+from .model import (ModelParams, derive_params, is_int, project_with_excess,
+                    sample_bipartite)
 from .theory import solve_extinction
 
 __all__ = [
@@ -47,6 +49,11 @@ DEFAULT_SMALL_THRESHOLD_COEFF = 3.0
 PAIR_KEY_BUDGET = 50_000_000
 
 
+def _check_coeff(coeff: float) -> None:
+    if not (math.isfinite(coeff) and coeff > 0):
+        raise ValueError(f"small_threshold_coeff must be finite and > 0, got {coeff}")
+
+
 def _check_pair_budget(params: ModelParams) -> None:
     """Raise ValueError when one trial's expected pair-key count,
     m*C(n,2)*p^2, exceeds PAIR_KEY_BUDGET."""
@@ -58,11 +65,20 @@ def _check_pair_budget(params: ModelParams) -> None:
             f"{PAIR_KEY_BUDGET:.3g}")
 
 
+def _parse_real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _parse_grid(grid) -> tuple[tuple[int, float, float], ...]:
+    # an integral float n such as 1e5 is an int; derive_params refuses other n
     if not (isinstance(grid, list)
             and all(isinstance(t, list) and len(t) == 3 for t in grid)):
         raise ValueError("expected a list of [n, beta, gamma] triples")
-    return tuple((int(n), float(b), float(g)) for n, b, g in grid)
+    return tuple((int(n) if isinstance(n, float) and n.is_integer() else n,
+                  _parse_real(b), _parse_real(g)) for n, b, g in grid)
 
 
 @dataclass(frozen=True)
@@ -77,8 +93,12 @@ class SweepConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        for name, least in (("replicates", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if not is_int(value) or value < least:
+                raise ValueError(f"sweep config field {name!r} must be an integer "
+                                 f">= {least}, got {value!r}")
+        _check_coeff(self.small_threshold_coeff)
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.output is not None and not isinstance(self.output, str):
@@ -90,13 +110,15 @@ class SweepConfig:
     @classmethod
     def from_json(cls, f: IO[str]) -> "SweepConfig":
         """Parse a config document; raises ValueError naming the field that
-        is missing or malformed."""
+        is missing, malformed or unknown."""
         doc = json.load(f)
         if not isinstance(doc, dict):
             raise ValueError(f"sweep config must be a JSON object, "
                              f"got {type(doc).__name__}")
+        if unknown := sorted(set(doc) - {fd.name for fd in fields(cls)}):
+            raise ValueError(f"sweep config has unknown fields {unknown}")
 
-        def field(name, parse, default=None):
+        def field(name, parse=lambda v: v, default=None):
             if name not in doc:
                 if default is None:
                     raise ValueError(f"sweep config field {name!r} is missing")
@@ -108,9 +130,9 @@ class SweepConfig:
 
         return cls(
             grid=field("grid", _parse_grid),
-            replicates=field("replicates", int),
-            master_seed=field("master_seed", int),
-            small_threshold_coeff=field("small_threshold_coeff", float,
+            replicates=field("replicates"),
+            master_seed=field("master_seed"),
+            small_threshold_coeff=field("small_threshold_coeff", _parse_real,
                                         DEFAULT_SMALL_THRESHOLD_COEFF),
             output=doc.get("output"),
             format=doc.get("format", "csv"),
@@ -178,17 +200,17 @@ def run_trial(params: ModelParams, rng: np.random.Generator,
               live_timing: bool = False) -> ExperimentRecord:
     """Sample one graph, project it, and measure every recorded observable.
 
-    Raises ValueError, before sampling, when the expected pair-key count
-    exceeds PAIR_KEY_BUDGET.
+    Raises ValueError, before sampling, on a coefficient that is not finite
+    and positive or an expected pair-key count over PAIR_KEY_BUDGET.
     """
+    _check_coeff(small_threshold_coeff)
     _check_pair_budget(params)
     t0 = time.perf_counter()
     b = sample_bipartite(params, rng)
     g, eta = project_with_excess(b)
     del b  # the bipartite graph is not needed past the projection
     c = census(g)
-    threshold = max(1, math.ceil(small_threshold_coeff * math.log(params.n))) \
-        if params.n > 1 else 1
+    threshold = max(1, math.ceil(small_threshold_coeff * math.log(params.n)))
     elapsed = (time.perf_counter() - t0) * 1000.0
     return ExperimentRecord(
         n=params.n, beta=params.beta, gamma=params.gamma, mu=params.mu,

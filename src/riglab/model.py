@@ -10,6 +10,7 @@ excess eta: the sum, over adjacent pairs, of their shared auxiliaries minus one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import IO, Iterator
 
@@ -52,15 +53,20 @@ class ModelParams:
         return self.alpha == 1.0
 
 
+def is_int(value) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def derive_params(n: int, beta: float, gamma: float, alpha: float = 1.0) -> ModelParams:
     """Validate (n, beta, gamma, alpha) and derive m, p, mu.
 
-    Raises ValueError if n < 1, beta, gamma or alpha is NaN or infinite,
-    beta or gamma is negative, or the derived edge probability exceeds 1
-    (gamma too large for the given n).
+    Raises ValueError if n is not a positive integer (a bool is not), beta,
+    gamma or alpha is NaN or infinite, beta or gamma is negative, or the
+    derived edge probability exceeds 1 (gamma too large for the given n).
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    if not is_int(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     if not all(map(math.isfinite, (beta, gamma, alpha))):
         raise ValueError(f"beta, gamma and alpha must be finite, "
                          f"got {beta}, {gamma}, {alpha}")

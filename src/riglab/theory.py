@@ -42,8 +42,10 @@ class FixedPointResult:
     error_bound: float
 
 
-def solve_extinction(beta: float, gamma: float, tol: float = 1e-13,
-                     max_iter: int = 100_000) -> FixedPointResult:
+_MAX_NEWTON_STEPS = 100_000  # cap on solve_extinction's steps, which stop far sooner
+
+
+def solve_extinction(beta: float, gamma: float, tol: float = 1e-13) -> FixedPointResult:
     """Solve rho = g(rho) by Newton's method on h(x) = g(x) - x from x = 0.
 
     For mu <= 1 the smallest root is exactly 1 (g > identity below 1).  For
@@ -81,9 +83,7 @@ def solve_extinction(beta: float, gamma: float, tol: float = 1e-13,
         return (math.expm1(l1 * t) + (1.0 - x)) / (1.0 - dg)
 
     x = 0.0
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
+    for iterations in range(1, _MAX_NEWTON_STEPS + 1):
         nx = x + newton_step(x)
         if not x < nx < 1.0:  # h is below its precision here
             break
@@ -135,11 +135,8 @@ class RigDegreeOffspring:
     def __init__(self, m: int, n: int, p: float):
         self.m, self.n, self.p = m, n, p
 
-    def sample(self, rng, size=None):
-        return rig_degree_sample(self.m, self.n, self.p, rng, size)
-
     def total_children(self, rng, pop: int) -> int:
-        return int(self.sample(rng, size=pop).sum())
+        return int(rig_degree_sample(self.m, self.n, self.p, rng, size=pop).sum())
 
 
 # survival-vs-extinction cutoff used by the CLI and recommended elsewhere
@@ -236,6 +233,20 @@ def _grid_golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float
     return float(x), float(f(x))
 
 
+def _chernoff(direction: str, k: int, delta: float, mu: float, log_f) -> TailBound:
+    """The bound min(f, 1)^k for the objective log f over s in (0, S_MAX]."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not (math.isfinite(delta) and math.isfinite(mu)):
+        raise ValueError(f"delta and mu must be finite, got {delta}, {mu}")
+    if mu <= 0:
+        raise ValueError("mu must be > 0 (degenerate sums have no tail to bound)")
+    s_opt, val = _grid_golden_min(log_f, 1e-9, S_MAX)
+    log_bound = k * min(val, 0.0)
+    return TailBound(k=k, delta=delta, direction=direction, bound=math.exp(log_bound),
+                     s_opt=s_opt, log_bound=log_bound, vacuous=val >= 0.0)
+
+
 def chernoff_upper(m: int, n_eff: int, p: float, mu: float, k: int,
                    delta: float) -> TailBound:
     """Upper bound on P(sum of k i.i.d. degrees >= (1+delta) mu k).
@@ -245,21 +256,10 @@ def chernoff_upper(m: int, n_eff: int, p: float, mu: float, k: int,
     law with the same (m, n_eff, p) — it stochastically dominates the simple
     degree, and its gf stays evaluable at arguments above 1.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if delta <= 0:
         raise ValueError("delta must be > 0 for the upper tail")
-    if mu <= 0:
-        raise ValueError("mu must be > 0 (degenerate sums have no tail to bound)")
-
-    def log_f(s: float) -> float:
-        return -s * (1.0 + delta) * mu + rimg_log_gf(m, n_eff, p, math.exp(s))
-
-    s_opt, val = _grid_golden_min(log_f, 1e-9, S_MAX)
-    vacuous = val >= 0.0
-    log_bound = k * min(val, 0.0)
-    return TailBound(k=k, delta=delta, direction="upper", bound=math.exp(log_bound),
-                     s_opt=s_opt, log_bound=log_bound, vacuous=vacuous)
+    return _chernoff("upper", k, delta, mu, lambda s: -s * (1.0 + delta) * mu
+                     + rimg_log_gf(m, n_eff, p, math.exp(s)))
 
 
 def chernoff_lower(m: int, n_eff: int, p: float, mu: float, k: int,
@@ -270,18 +270,7 @@ def chernoff_lower(m: int, n_eff: int, p: float, mu: float, k: int,
     exponential moment is the exact simple-degree gf at e^{-s} in (0, 1),
     where its sum form is stable.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0,1) for the lower tail")
-    if mu <= 0:
-        raise ValueError("mu must be > 0 (degenerate sums have no tail to bound)")
-
-    def log_f(s: float) -> float:
-        return s * (1.0 - delta) * mu + math.log(rig_gf(m, n_eff, p, math.exp(-s)))
-
-    s_opt, val = _grid_golden_min(log_f, 1e-9, S_MAX)
-    vacuous = val >= 0.0
-    log_bound = k * min(val, 0.0)
-    return TailBound(k=k, delta=delta, direction="lower", bound=math.exp(log_bound),
-                     s_opt=s_opt, log_bound=log_bound, vacuous=vacuous)
+    return _chernoff("lower", k, delta, mu, lambda s: s * (1.0 - delta) * mu
+                     + math.log(rig_gf(m, n_eff, p, math.exp(-s))))

@@ -81,6 +81,22 @@ def alternating_degree_pmf(m: int, n: int, p: float) -> np.ndarray:
     return probs
 
 
+def degree_gf_by_marks(m: int, n: int, p: float, z: float) -> float:
+    """E[z^D] for the simple-projection degree, z in [0, 1], summed over degrees.
+
+    Mark each other vertex with chance 1 - z: z^D is the chance that v0 has
+    no marked neighbour, which, given n-1-j marked vertices, is F_j of
+    alternating_degree_pmf.  So E[z^D] = sum_j Bin(n-1, z)(j) F_j, n terms, all
+    non-negative: float64 keeps a relative error near m * eps at any size of
+    the result.
+    """
+    from scipy.stats import binom
+
+    j = np.arange(n)
+    marked_cover = -np.expm1((n - 1 - j) * math.log1p(-p))
+    return float(binom.pmf(j, n - 1, z) @ np.exp(m * np.log1p(-p * marked_cover)))
+
+
 def exact_multi_degree_pmf(n: int, m: int, p: float) -> np.ndarray:
     """P(multigraph degree of a fixed vertex = k), k = 0..m*(n-1)."""
     probs = np.zeros(m * (n - 1) + 1)

@@ -171,6 +171,13 @@ class TestTails:
                              "--gamma", "1", "--k", "5", "--delta", "-1")
         assert code == 1
 
+    def test_nan_delta_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "tails", "--n", "1000", "--beta", "1",
+                                 "--gamma", "1", "--k", "10", "--delta", "nan",
+                                 "--direction", "upper")
+        assert code == 1
+        assert "finite" in err and "nan" in err and out == ""
+
 
 class TestBranching:
     def test_cpoisson(self, capsys):
@@ -261,6 +268,26 @@ class TestTrialSweepSummarize:
         ([[100, 1.0, 1.0]], "JSON object"),
         ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1, "output": 5},
          "output"),
+        ({"grid": [[100.7, 1.0, 1.0]], "replicates": 1, "master_seed": 1}, "100.7"),
+        ({"grid": [[100, 1.0, 1.0]], "replicates": 2.9, "master_seed": 1},
+         "'replicates'"),
+        ({"grid": [[100, 1.0, 1.0]], "replicates": True, "master_seed": 1},
+         "'replicates'"),
+        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": "7"},
+         "'master_seed'"),
+        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": -1},
+         "'master_seed'"),
+        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1,
+          "small_threshold_coef": 9}, "small_threshold_coef'"),
+        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1,
+          "small_threshold_coeff": float("nan")}, "small_threshold_coeff"),
+        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1,
+          "small_threshold_coeff": True}, "'small_threshold_coeff'"),
+        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1,
+          "small_threshold_coeff": "3"}, "'small_threshold_coeff'"),
+        ({"grid": [[100, True, 1.0]], "replicates": 1, "master_seed": 1}, "'grid'"),
+        ({"grid": [[100, 1.0, "1"]], "replicates": 1, "master_seed": 1}, "'grid'"),
+        ({"grid": [[True, 1.0, 1.0]], "replicates": 1, "master_seed": 1}, "True"),
     ])
     def test_sweep_malformed_config_exits_one(self, capsys, tmp_path, doc, message):
         cfg_path = tmp_path / "bad.json"
@@ -277,6 +304,15 @@ class TestTrialSweepSummarize:
         code, out, err = run_cli(capsys, command, flag, str(missing))
         assert code == 1
         assert f"cannot read {missing}" in err and out == ""
+
+    def test_sweep_negative_seed_exits_one(self, capsys, tmp_path):
+        cfg_path = tmp_path / "s.json"
+        cfg_path.write_text(json.dumps({"grid": [[100, 1.0, 1.0]],
+                                        "replicates": 1, "master_seed": 1}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path),
+                                 "--workers", "1", "--seed", "-1")
+        assert code == 1
+        assert "'master_seed'" in err and "-1" in err and out == ""
 
     def test_sweep_unwritable_out_exits_two(self, capsys, tmp_path):
         cfg_path = tmp_path / "s.json"
@@ -304,6 +340,17 @@ class TestTrialSweepSummarize:
                                  "--gamma", "1", "--alpha", "0")
         assert code == 1
         assert "pair keys" in err and out == ""
+
+    @pytest.mark.parametrize("coeff", ["inf", "nan", "-5"])
+    def test_trial_bad_threshold_coeff_exits_one(self, capsys, monkeypatch, coeff):
+        def no_sampling(*args):
+            raise AssertionError("sampled despite a bad coefficient")
+
+        monkeypatch.setattr(experiments, "sample_bipartite", no_sampling)
+        code, out, err = run_cli(capsys, "trial", "--n", "10000", "--beta", "1",
+                                 "--gamma", "2", "--threshold-coeff", coeff)
+        assert code == 1
+        assert "small_threshold_coeff" in err and coeff in err and out == ""
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_sweep_workers_below_one_exits_one(self, capsys, tmp_path, workers):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from riglab.degree import (EXACT_PMF_BUDGET, CompoundPoissonSpec, DegreePmf,
                            cpoisson_gf, cpoisson_pmf, cpoisson_sample,
                            rig_degree_sample, rig_gf, rig_moments, rig_pmf,
-                           rimg_gf, rimg_log_gf, rimg_pmf, rimg_sample,
-                           tv_distance)
+                           rimg_log_gf, rimg_pmf, rimg_sample, tv_distance)
 from riglab.model import derive_params
 
 import oracle
@@ -81,6 +80,30 @@ class TestRigGf:
             for z in (0.0, 0.3, 0.77, 1.0):
                 series = float(pmf.probs @ z ** np.arange(n))
                 assert rig_gf(m, n, p, z) == pytest.approx(series, abs=1e-10)
+
+    def test_matches_pmf_series_large_n(self):
+        params = derive_params(10 ** 5, 1.0, 1.0)
+        pmf = rig_pmf(params.m, params.n, params.p)
+        for z in (0.0, 0.3, 0.9, 0.999, 1.0):
+            series = float(pmf.probs @ z ** np.arange(params.n))
+            assert abs(rig_gf(params.m, params.n, params.p, z) - series) <= 1e-12
+
+    @pytest.mark.parametrize("beta,gamma", [(1.0, 50.0), (2.0, 40.0)])
+    def test_relative_accuracy_at_large_mean(self, beta, gamma):
+        # at beta*gamma >= 50 the rows N = 0, 1 weigh under 1e-20, yet at
+        # z = e^-5 they carry most of the gf, which is then near 1e-22
+        params = derive_params(10 ** 4, beta, gamma)
+        for s in (5.0, 1.0, 0.01):
+            z = math.exp(-s)
+            ref = oracle.degree_gf_by_marks(params.m, params.n, params.p, z)
+            assert rig_gf(params.m, params.n, params.p, z) == pytest.approx(ref, rel=1e-9, abs=0)
+
+    def test_derivative_matches_mean_large_n(self):
+        # rig_gf rejects z > 1, so the difference at 1 is one-sided
+        params = derive_params(10 ** 6, 1.0, 1.0)
+        f = lambda z: rig_gf(params.m, params.n, params.p, z)
+        mean = rig_moments(params.m, params.n, params.p)[0]
+        assert richardson(backward_d1, f, 1.0, 3e-4, 2) == pytest.approx(mean, rel=1e-9)
 
 
 class TestRigPmf:
@@ -263,17 +286,15 @@ class TestCompoundPoisson:
 
 class TestRimg:
     def test_normalization(self):
-        assert rimg_gf(3, 5, 0.4, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert math.exp(rimg_log_gf(3, 5, 0.4, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_sure_positive_degree(self):
-        assert rimg_gf(1, 3, 1.0, 0.0) == 0.0
+        assert math.exp(rimg_log_gf(1, 3, 1.0, 0.0)) == 0.0
 
     def test_above_one_allowed(self):
-        assert rimg_gf(2, 4, 0.3, 1.5) > 1.0
+        assert math.exp(rimg_log_gf(2, 4, 0.3, 1.5)) > 1.0
 
     def test_overflow_rejected(self):
-        with pytest.raises(OverflowError):
-            rimg_gf(10 ** 6, 10 ** 6, 0.5, 100.0)
         # the log form stays finite where the linear form overflows
         assert rimg_log_gf(10 ** 6, 10 ** 6, 0.5, 100.0) > 709
 
@@ -281,7 +302,8 @@ class TestRimg:
         # gf'(1) = m (n-1) p^2, the multigraph mean degree
         for m, n, p in [(10, 20, 0.1), (50, 30, 0.05)]:
             h = 1e-4
-            d = (rimg_gf(m, n, p, 1 + h) - rimg_gf(m, n, p, 1 - h)) / (2 * h)
+            d = (math.exp(rimg_log_gf(m, n, p, 1 + h))
+                 - math.exp(rimg_log_gf(m, n, p, 1 - h))) / (2 * h)
             assert d == pytest.approx(m * (n - 1) * p * p, rel=1e-6)
 
     def test_pmf_vs_enumeration(self):
@@ -290,15 +312,23 @@ class TestRimg:
         pmf = rimg_pmf(m, n, p)
         assert np.abs(pmf.probs - exact).max() < 1e-12
 
+    @pytest.mark.parametrize("kmax", [None, 2])
+    def test_pmf_tail_vs_enumeration(self, kmax):
+        # the tail is each row's exact mass beyond kmax, not 1 - sum(probs)
+        n, m, p = 3, 3, 0.5
+        exact = oracle.exact_multi_degree_pmf(n, m, p)
+        pmf = rimg_pmf(m, n, p, kmax)
+        assert abs(pmf.tail - exact[len(pmf.probs):].sum()) <= 1e-15
+
     def test_pmf_matches_gf_series(self):
         m, n, p = 3, 4, 0.3
         pmf = rimg_pmf(m, n, p)
         for z in (0.0, 0.5, 1.3):
             series = float(pmf.probs @ z ** np.arange(len(pmf.probs)))
-            assert rimg_gf(m, n, p, z) == pytest.approx(series, abs=1e-10)
+            assert math.exp(rimg_log_gf(m, n, p, z)) == pytest.approx(series, abs=1e-10)
 
     def test_pmf_budget(self):
-        # m = n = 400 would need a 401 x 159,601 block, about 3.5 GB with its
+        # m = n = 400 would need a 58 x 159,601 block, about 0.7 GB with its
         # temporaries; it is refused before anything is allocated
         tracemalloc.start()
         try:
@@ -316,7 +346,7 @@ class TestRimg:
         m, n, p = 5, 10, 0.2
         pmf = rimg_pmf(m, n, p)
         assert abs(pmf.probs.sum() - 1.0) < 1e-12
-        assert rimg_gf(m, n, p, 0.5) == pytest.approx(
+        assert math.exp(rimg_log_gf(m, n, p, 0.5)) == pytest.approx(
             float(pmf.probs @ 0.5 ** np.arange(len(pmf.probs))), abs=1e-12)
 
     def test_sample_degenerate(self):

@@ -190,6 +190,16 @@ class TestPairBudget:
         with pytest.raises(ValueError, match="pair keys"):
             run_trial(params, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -5.0])
+    def test_bad_coefficient_refused_before_sampling(self, monkeypatch, coeff):
+        def no_sampling(*args):
+            raise AssertionError("sampled despite a bad coefficient")
+
+        monkeypatch.setattr(experiments, "sample_bipartite", no_sampling)
+        with pytest.raises(ValueError, match="small_threshold_coeff"):
+            run_trial(derive_params(100, 1.0, 1.0), np.random.default_rng(0),
+                      small_threshold_coeff=coeff)
+
     def test_estimate_is_m_choose2_p2(self, monkeypatch):
         # m=100, C(100,2)=4950, p=0.02: 198 expected pair keys
         params = derive_params(100, 1.0, 2.0)
@@ -362,6 +372,13 @@ class TestSerialization:
         back = SweepConfig.from_json(io.StringIO(buf.getvalue()))
         assert back == config
 
+    def test_config_integral_float_n(self):
+        # JSON readers give 1e5 or 100.0 as a float; an integral one is an n
+        doc = {"grid": [[100.0, 1.0, 1.0], [1e5, 1, 2]], "replicates": 1, "master_seed": 1}
+        config = SweepConfig.from_json(io.StringIO(json.dumps(doc)))
+        assert config.grid == ((100, 1.0, 1.0), (100_000, 1.0, 2.0))
+        assert all(type(n) is int for n, _, _ in config.grid)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SweepConfig(grid=((10, 1.0, 1.0),), replicates=0, master_seed=1)
@@ -371,6 +388,9 @@ class TestSerialization:
             small_config(format="xml")
         with pytest.raises(ValueError, match="finite"):
             SweepConfig(grid=((10, 1.0, math.nan),), replicates=1, master_seed=1)
+        for coeff in (math.nan, math.inf, -5.0, 0.0):
+            with pytest.raises(ValueError, match="small_threshold_coeff"):
+                small_config(small_threshold_coeff=coeff)
 
 
 class TestSummarize:

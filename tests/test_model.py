@@ -59,6 +59,9 @@ class TestDeriveParams:
             derive_params(10, -1.0, 1.0)
         with pytest.raises(ValueError):
             derive_params(10, 1.0, -0.1)
+        for n in (100.7, True, "100"):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                derive_params(n, 1.0, 1.0)
 
     @pytest.mark.parametrize("beta,gamma,alpha", [
         (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (math.inf, 1.0, 1.0),

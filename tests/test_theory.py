@@ -8,9 +8,12 @@ from scipy.optimize import brentq
 
 from riglab.degree import (CompoundPoissonSpec, cpoisson_gf, cpoisson_sample,
                            rig_degree_sample, rig_gf, rimg_log_gf)
-from riglab.theory import (CompoundPoissonOffspring, RigDegreeOffspring,
-                           branching_total, chernoff_lower, chernoff_upper,
-                           extinction_mc, solve_extinction)
+from riglab.model import derive_params
+from riglab.theory import (S_MAX, CompoundPoissonOffspring, RigDegreeOffspring,
+                           _grid_golden_min, branching_total, chernoff_lower,
+                           chernoff_upper, extinction_mc, solve_extinction)
+
+import oracle
 
 
 def rng(seed=0):
@@ -284,6 +287,15 @@ class TestChernoffUpper:
         assert emp <= tb.bound + 3 * se
 
 
+@pytest.mark.parametrize("bound", [chernoff_upper, chernoff_lower])
+@pytest.mark.parametrize("mu,delta", [(1.0, math.nan), (1.0, math.inf),
+                                      (math.nan, 0.5), (math.inf, 0.5)])
+def test_chernoff_rejects_non_finite(bound, mu, delta):
+    m, n, p, _ = sum_params()
+    with pytest.raises(ValueError, match=r"finite|\(0,1\)"):
+        bound(m, n, p, mu, 10, delta)
+
+
 class TestChernoffLower:
     def test_definitional_power(self):
         m, n, p, mu = sum_params()
@@ -308,6 +320,15 @@ class TestChernoffLower:
         bounds = [chernoff_lower(m, n, p, mu, 50, d).bound
                   for d in (0.2, 0.5, 0.8)]
         assert all(a >= b - 1e-15 for a, b in zip(bounds, bounds[1:]))
+
+    def test_matches_reference_gf_at_large_mean(self):
+        # the optimum sits where the gf's rows of weight under 1e-20 dominate
+        params = derive_params(10 ** 4, 1.0, 50.0)
+        m, n, p, mu = params.m, params.n, params.p, params.mu
+        tb = chernoff_lower(m, n, p, mu, 200, 0.9)
+        _, val = _grid_golden_min(lambda s: s * 0.1 * mu + math.log(
+            oracle.degree_gf_by_marks(m, n, p, math.exp(-s))), 1e-9, S_MAX)
+        assert tb.log_bound == pytest.approx(200 * val, rel=1e-9)
 
     def test_rate_constant_in_k(self):
         m, n, p, mu = sum_params()
