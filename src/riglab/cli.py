@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .degree import CompoundPoissonSpec, cpoisson_pmf, rig_pmf
 from .experiments import (DEFAULT_SMALL_THRESHOLD_COEFF, SweepConfig,
-                          records_from_csv, records_to_csv, records_to_json,
+                          records_from_csv, records_to_csv, rows_to_json,
                           run_sweep, run_trial, summarize, summary_to_csv,
-                          summary_to_json, trial_stream)
+                          trial_stream)
 from .model import derive_params, sample_bipartite, write_bipartite
 from .theory import (DEFAULT_BRANCHING_CAP, CompoundPoissonOffspring,
                      RigDegreeOffspring, chernoff_lower, chernoff_upper,
@@ -176,7 +176,7 @@ def cmd_sweep(args) -> int:
     else:
         result = run_sweep(config, workers=args.workers, live_timing=args.live_timing)
         with _out_stream(out) as f:
-            records_to_json(result.records, f)
+            rows_to_json(result.records, f)
     print(f"# sweep finished: {len(result.records)} records, "
           f"{len(result.failures)} failures", file=sys.stderr)
     if result.failures:
@@ -190,10 +190,7 @@ def cmd_summarize(args) -> int:
     records = _read_input(args.records, records_from_csv)
     rows = summarize(records)
     with _out_stream(args.out) as f:
-        if args.format == "json":
-            summary_to_json(rows, f)
-        else:
-            summary_to_csv(rows, f)
+        (rows_to_json if args.format == "json" else summary_to_csv)(rows, f)
     return 0
 
 

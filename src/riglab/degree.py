@@ -12,7 +12,7 @@ from typing import IO
 
 import numpy as np
 
-from .model import project_simple, sample_aux_lists
+from .model import check_trial_size, project_simple, sample_aux_lists
 
 # scipy.special is imported inside the functions that use it: with the scipy
 # core it loads, it would add about 23 MiB to `import riglab`, and no trial,
@@ -204,7 +204,8 @@ def rig_pmf(m: int, n: int, p: float, mode: str = "exact",
     whose terms are all non-negative, up to the bulk of its last row, which
     dominates the others; it returns n entries and refuses a mixture block
     larger than EXACT_PMF_BUDGET.  Empirical mode needs rng and a vertex
-    sample count, and takes every vertex of ceil(samples/n) sampled graphs.
+    sample count, takes every vertex of ceil(samples/n) sampled graphs, and
+    refuses, before sampling, a graph over either budget of check_trial_size.
     """
     if mode == "exact":
         try:
@@ -214,6 +215,7 @@ def rig_pmf(m: int, n: int, p: float, mode: str = "exact",
     if mode == "empirical":
         if rng is None or samples is None or samples < 1:
             raise ValueError("empirical mode requires rng and samples >= 1")
+        check_trial_size(n, m, p)
         counts = np.bincount(np.concatenate([
             project_simple(sample_aux_lists(n, m, p, rng)).degrees()
             for _ in range(-(-samples // n))]))

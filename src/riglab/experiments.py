@@ -14,14 +14,14 @@ import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import IO, Iterable
 
 import numpy as np
 
 from .components import census, small_fraction
-from .model import (ModelParams, derive_params, is_int, project_with_excess,
-                    sample_bipartite)
+from .model import (ModelParams, check_trial_size, derive_params, is_int,
+                    project_with_excess, sample_bipartite)
 from .theory import solve_extinction
 
 __all__ = [
@@ -36,49 +36,46 @@ __all__ = [
     "summarize",
     "records_to_csv",
     "records_from_csv",
-    "records_to_json",
+    "rows_to_json",
     "summary_to_csv",
-    "summary_to_json",
     "RECORD_FIELDS",
 ]
 
 DEFAULT_SMALL_THRESHOLD_COEFF = 3.0
 
-# A trial's traced peak is about 37 bytes per pair key (37.0 and 36.5 at
-# n = 10^6, gamma = 2 and 4), so this budget keeps one trial near 1.9 GB.
-PAIR_KEY_BUDGET = 50_000_000
+
+def _is_real(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
-def _check_coeff(coeff: float) -> None:
-    if not (math.isfinite(coeff) and coeff > 0):
-        raise ValueError(f"small_threshold_coeff must be finite and > 0, got {coeff}")
+def _check_int(name: str, value, least: int) -> None:
+    if not is_int(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_pair_budget(params: ModelParams) -> None:
-    """Raise ValueError when one trial's expected pair-key count,
-    m*C(n,2)*p^2, exceeds PAIR_KEY_BUDGET."""
-    expected = params.m * (params.n * (params.n - 1) / 2.0) * params.p ** 2
-    if expected > PAIR_KEY_BUDGET:
-        raise ValueError(
-            f"expected {expected:.3g} pair keys (n={params.n}, beta={params.beta}, "
-            f"gamma={params.gamma}, alpha={params.alpha}) exceeds the budget of "
-            f"{PAIR_KEY_BUDGET:.3g}")
+def _check_coeff(coeff, name: str = "small_threshold_coeff") -> None:
+    if not (_is_real(coeff) and coeff > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {coeff!r}")
 
 
-def _parse_real(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _parse_grid(grid) -> tuple[tuple[int, float, float], ...]:
+def _grid_point(point) -> tuple[int, float, float]:
+    """Check one [n, beta, gamma] point, budgets included, and return it as
+    (int, float, float)."""
+    if not (isinstance(point, (list, tuple)) and len(point) == 3):
+        raise ValueError(f"expected [n, beta, gamma] triples, got {point!r}")
+    n, beta, gamma = point
+    if not (_is_real(beta) and _is_real(gamma)):
+        raise ValueError(f"beta and gamma must be finite numbers, got {point!r}")
     # an integral float n such as 1e5 is an int; derive_params refuses other n
-    if not (isinstance(grid, list)
-            and all(isinstance(t, list) and len(t) == 3 for t in grid)):
-        raise ValueError("expected a list of [n, beta, gamma] triples")
-    return tuple((int(n) if isinstance(n, float) and n.is_integer() else n,
-                  _parse_real(b), _parse_real(g)) for n, b, g in grid)
+    n = int(n) if isinstance(n, float) and n.is_integer() else n
+    params = derive_params(n, float(beta), float(gamma))
+    check_trial_size(params.n, params.m, params.p)
+    return params.n, params.beta, params.gamma
+
+
+_field = "sweep config field {!r}".format
 
 
 @dataclass(frozen=True)
@@ -93,19 +90,23 @@ class SweepConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        for name, least in (("replicates", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            if not is_int(value) or value < least:
-                raise ValueError(f"sweep config field {name!r} must be an integer "
-                                 f">= {least}, got {value!r}")
-        _check_coeff(self.small_threshold_coeff)
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
+        """Check every field, of a config from JSON or from Python alike, and
+        store the grid as (int, float, float) triples; raises ValueError naming
+        the first field that is malformed, out of range or over a size budget."""
+        try:
+            if not (isinstance(self.grid, (list, tuple)) and self.grid):
+                raise ValueError("expected a non-empty list of [n, beta, gamma] triples")
+            object.__setattr__(self, "grid", tuple(map(_grid_point, self.grid)))
+        except ValueError as exc:
+            raise ValueError(f"{_field('grid')}: {exc}") from None
+        _check_int(_field("replicates"), self.replicates, 1)
+        _check_int(_field("master_seed"), self.master_seed, 0)
+        _check_coeff(self.small_threshold_coeff, _field("small_threshold_coeff"))
+        object.__setattr__(self, "small_threshold_coeff", float(self.small_threshold_coeff))
         if self.output is not None and not isinstance(self.output, str):
-            raise ValueError(f"output must be a path string, got {self.output!r}")
-        for n, beta, gamma in self.grid:
-            # raises on invalid or oversized triples
-            _check_pair_budget(derive_params(n, beta, gamma))
+            raise ValueError(f"{_field('output')} must be a path string, got {self.output!r}")
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"{_field('format')} must be csv or json, got {self.format!r}")
 
     @classmethod
     def from_json(cls, f: IO[str]) -> "SweepConfig":
@@ -117,37 +118,13 @@ class SweepConfig:
                              f"got {type(doc).__name__}")
         if unknown := sorted(set(doc) - {fd.name for fd in fields(cls)}):
             raise ValueError(f"sweep config has unknown fields {unknown}")
-
-        def field(name, parse=lambda v: v, default=None):
-            if name not in doc:
-                if default is None:
-                    raise ValueError(f"sweep config field {name!r} is missing")
-                return default
-            try:
-                return parse(doc[name])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"sweep config field {name!r}: {exc}") from None
-
-        return cls(
-            grid=field("grid", _parse_grid),
-            replicates=field("replicates"),
-            master_seed=field("master_seed"),
-            small_threshold_coeff=field("small_threshold_coeff", _parse_real,
-                                        DEFAULT_SMALL_THRESHOLD_COEFF),
-            output=doc.get("output"),
-            format=doc.get("format", "csv"),
-        )
+        for fd in fields(cls):
+            if fd.default is MISSING and fd.name not in doc:
+                raise ValueError(f"{_field(fd.name)} is missing")
+        return cls(**doc)
 
     def to_json(self, f: IO[str]) -> None:
-        doc = {
-            "grid": [list(t) for t in self.grid],
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "small_threshold_coeff": self.small_threshold_coeff,
-            "output": self.output,
-            "format": self.format,
-        }
-        json.dump(doc, f, indent=2)
+        json.dump(asdict(self), f, indent=2)
         f.write("\n")
 
 
@@ -187,8 +164,10 @@ def trial_stream(master_seed: int, grid_index: int,
 
     The Philox generator is keyed by SeedSequence((master_seed, grid_index,
     replicate)); the id recorded in output is the first uint64 of the derived
-    state, enough to re-create the stream from the config alone.
+    state, enough to re-create the stream from the config alone.  Raises
+    ValueError on a master seed that is not an integer >= 0.
     """
+    _check_int("master_seed", master_seed, 0)
     ss = np.random.SeedSequence((master_seed, grid_index, replicate))
     seed_id = int(ss.generate_state(1, np.uint64)[0])
     return seed_id, np.random.Generator(np.random.Philox(seed=ss))
@@ -201,10 +180,10 @@ def run_trial(params: ModelParams, rng: np.random.Generator,
     """Sample one graph, project it, and measure every recorded observable.
 
     Raises ValueError, before sampling, on a coefficient that is not finite
-    and positive or an expected pair-key count over PAIR_KEY_BUDGET.
+    and positive or a graph over either budget of model.check_trial_size.
     """
     _check_coeff(small_threshold_coeff)
-    _check_pair_budget(params)
+    check_trial_size(params.n, params.m, params.p)
     t0 = time.perf_counter()
     b = sample_bipartite(params, rng)
     g, eta = project_with_excess(b)
@@ -265,7 +244,7 @@ def run_sweep(config: SweepConfig, workers: int = 1, live_timing: bool = False,
              for gi, (n, beta, gamma) in enumerate(config.grid)
              for rep in range(config.replicates)]
     if sink is not None:
-        sink.write(",".join(RECORD_FIELDS) + "\n")
+        _write_csv(ExperimentRecord, (), sink)  # the header; rows follow one by one
     records = []
     failures = []
     # outcomes come first, so that zip runs the generator to its end, which
@@ -277,7 +256,7 @@ def run_sweep(config: SweepConfig, workers: int = 1, live_timing: bool = False,
             continue
         records.append(rec)
         if sink is not None:
-            sink.write(_record_row(rec) + "\n")
+            sink.write(_csv_row(rec))
     return SweepResult(records=tuple(records), failures=tuple(failures))
 
 
@@ -358,14 +337,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _record_row(r: ExperimentRecord) -> str:
-    return ",".join(_fmt(getattr(r, f)) for f in RECORD_FIELDS)
+def _csv_row(row) -> str:
+    return ",".join(_fmt(getattr(row, f.name)) for f in fields(row)) + "\n"
+
+
+def _write_csv(cls, rows: Iterable, f: IO[str]) -> None:
+    f.write(",".join(fd.name for fd in fields(cls)) + "\n")
+    f.writelines(map(_csv_row, rows))
 
 
 def records_to_csv(records: Iterable[ExperimentRecord], f: IO[str]) -> None:
-    f.write(",".join(RECORD_FIELDS) + "\n")
-    for r in records:
-        f.write(_record_row(r) + "\n")
+    _write_csv(ExperimentRecord, records, f)
 
 
 def records_from_csv(f: IO[str]) -> list[ExperimentRecord]:
@@ -391,19 +373,11 @@ def records_from_csv(f: IO[str]) -> list[ExperimentRecord]:
     return out
 
 
-def records_to_json(records: Iterable[ExperimentRecord], f: IO[str]) -> None:
-    json.dump([asdict(r) for r in records], f, indent=1)
+def rows_to_json(rows: Iterable, f: IO[str]) -> None:
+    """Write records or summary rows as a JSON list of objects."""
+    json.dump([asdict(r) for r in rows], f, indent=1)
     f.write("\n")
 
 
 def summary_to_csv(rows: Iterable[SummaryRow], f: IO[str]) -> None:
-    rows = list(rows)
-    names = list(asdict(rows[0]).keys()) if rows else []
-    f.write(",".join(names) + "\n")
-    for r in rows:
-        f.write(",".join(_fmt(v) for v in asdict(r).values()) + "\n")
-
-
-def summary_to_json(rows: Iterable[SummaryRow], f: IO[str]) -> None:
-    json.dump([asdict(r) for r in rows], f, indent=1)
-    f.write("\n")
+    _write_csv(SummaryRow, rows, f)

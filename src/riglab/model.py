@@ -23,6 +23,7 @@ __all__ = [
     "derive_params",
     "sample_bipartite",
     "sample_aux_lists",
+    "check_trial_size",
     "project_simple",
     "project_with_excess",
     "write_bipartite",
@@ -219,23 +220,30 @@ def _fill_distinct(rng: np.random.Generator, n: int, d: int, first: np.ndarray) 
 
     Treats `first` as the head of an i.i.d. uniform stream and keeps drawing
     until d distinct values have appeared; the first d distinct values of such
-    a stream form a uniform random d-subset.
+    a stream form a uniform random d-subset.  A dict keeps them in order of
+    first appearance.
     """
-    out: list[int] = []
-    seen: set[int] = set()
-    for x in first.tolist():
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    while len(out) < d:
-        batch = rng.integers(0, n, size=d - len(out) + 2)
-        for x in batch.tolist():
-            if x not in seen:
-                seen.add(x)
-                out.append(x)
-                if len(out) == d:
-                    break
-    return np.sort(np.asarray(out, dtype=np.int64))
+    seen = dict.fromkeys(first.tolist())
+    while len(seen) < d:
+        seen.update(dict.fromkeys(rng.integers(0, n, size=d - len(seen) + 2).tolist()))
+    return np.sort(np.array(list(seen)[:d], dtype=np.int64))
+
+
+# The sampler's traced peak is about 25 bytes per auxiliary and 16 per member
+# (tracemalloc at n = 10^6 and m = 10^6, with 2*10^6 and 4*10^6 members; a
+# dense segment in repair adds up to 13 more per member), so this bound on
+# m + 1 + m*n*p keeps one bipartite graph near 1.9 GB.
+BIPARTITE_BUDGET = 75_000_000
+
+
+def _check_bipartite_size(n: int, m: int, p: float) -> None:
+    """Raise ValueError when the expected CSR size m + 1 + m*n*p exceeds
+    BIPARTITE_BUDGET."""
+    expected = m + 1 + m * n * p
+    if expected > BIPARTITE_BUDGET:
+        raise ValueError(
+            f"expected {expected:.3g} bipartite offsets and members (n={n}, m={m}, "
+            f"p={p!r}) exceeds the budget of {BIPARTITE_BUDGET:.3g}")
 
 
 def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> BipartiteGraph:
@@ -245,10 +253,12 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> Bipa
     d-subset of the vertices.  Cost O(m + total edges) rather than n*m coin
     flips.  Subsets come from one bulk draw; only segments whose draw held a
     duplicate are repaired one by one, and segments with d >= n/2 fall back
-    to a partial permutation.
+    to a partial permutation.  Raises ValueError, before the first draw, on
+    p outside [0, 1] or an expected size over BIPARTITE_BUDGET.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
+    _check_bipartite_size(n, m, p)
     if m == 0 or p == 0.0:
         return BipartiteGraph(n=n, offsets=np.zeros(m + 1, dtype=np.int64),
                               members=np.empty(0, dtype=np.int64))
@@ -298,6 +308,22 @@ def sample_bipartite(params: ModelParams, rng: np.random.Generator) -> Bipartite
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
+
+# A trial's traced peak is about 37 bytes per pair key (37.0 and 36.5 at
+# n = 10^6, gamma = 2 and 4), so this budget keeps one trial near 1.9 GB.
+PAIR_KEY_BUDGET = 50_000_000
+
+
+def check_trial_size(n: int, m: int, p: float) -> None:
+    """Raise ValueError when one graph of (n, m, p) would pass either budget:
+    BIPARTITE_BUDGET for the sample, or PAIR_KEY_BUDGET for the expected
+    pair-key count m*C(n,2)*p^2 of its projection."""
+    _check_bipartite_size(n, m, p)
+    expected = m * (n * (n - 1) / 2.0) * p ** 2
+    if expected > PAIR_KEY_BUDGET:
+        raise ValueError(
+            f"expected {expected:.3g} pair keys (n={n}, m={m}, p={p!r}) exceeds "
+            f"the budget of {PAIR_KEY_BUDGET:.3g}")
 
 def _pair_keys(b: BipartiteGraph) -> np.ndarray:
     """All vertex pairs sharing an auxiliary, one key per sharing auxiliary.

@@ -120,3 +120,26 @@ def exact_eta_mean(n: int, m: int, p: float) -> float:
         return 0.0
     tail = math.expm1(m * math.log1p(-p * p)) if p < 1.0 else -1.0
     return n * (n - 1) / 2.0 * (m * p * p + tail)
+
+
+def fill_distinct_loop(rng: np.random.Generator, n: int, d: int,
+                       first: np.ndarray) -> np.ndarray:
+    """The first d distinct values of `first` followed by uniform draws from
+    range(n), sorted: a member-by-member loop over the same batches (each of
+    d minus the distinct count so far, plus 2) that model._fill_distinct
+    draws."""
+    out: list[int] = []
+    seen: set[int] = set()
+    for x in first.tolist():
+        if x not in seen:
+            seen.add(x)
+            out.append(x)
+    while len(out) < d:
+        batch = rng.integers(0, n, size=d - len(out) + 2)
+        for x in batch.tolist():
+            if x not in seen:
+                seen.add(x)
+                out.append(x)
+                if len(out) == d:
+                    break
+    return np.sort(np.asarray(out, dtype=np.int64))

@@ -1,15 +1,56 @@
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
+import riglab.cli as cli
 import riglab.experiments as experiments
 from riglab.cli import main
 from riglab.degree import DegreePmf, rig_pmf
-from riglab.experiments import records_from_csv
+from riglab.experiments import SweepConfig, records_from_csv
 from riglab.model import read_bipartite
 from test_experiments import _dying_task
+
+
+# sweep config documents that must be refused, each with a part of its message
+MALFORMED_CONFIGS = [
+    ({"grid": [[100, 1.0, float("nan")]], "replicates": 1, "master_seed": 1},
+     "finite"),
+    ({"grid": [[100, 1.0, "nan"]], "replicates": 1, "master_seed": 1}, "finite"),
+    ({"replicates": 1, "master_seed": 1}, "'grid' is missing"),
+    ({"grid": {"100": [1.0, 1.0]}, "replicates": 1, "master_seed": 1}, "'grid'"),
+    ({"grid": [[100, 1.0]], "replicates": 1, "master_seed": 1}, "'grid'"),
+    ({"grid": [[100, 1.0, 1.0]], "replicates": "two", "master_seed": 1},
+     "'replicates'"),
+    ([[100, 1.0, 1.0]], "JSON object"),
+    ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1, "output": 5},
+     "output"),
+    ({"grid": [[100.7, 1.0, 1.0]], "replicates": 1, "master_seed": 1}, "100.7"),
+    ({"grid": [[100, 1.0, 1.0]], "replicates": 2.9, "master_seed": 1},
+     "'replicates'"),
+    ({"grid": [[100, 1.0, 1.0]], "replicates": True, "master_seed": 1},
+     "'replicates'"),
+    ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": "7"},
+     "'master_seed'"),
+    ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": -1},
+     "'master_seed'"),
+    ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1,
+      "small_threshold_coef": 9}, "small_threshold_coef'"),
+    ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1,
+      "small_threshold_coeff": float("nan")}, "small_threshold_coeff"),
+    ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1,
+      "small_threshold_coeff": True}, "'small_threshold_coeff'"),
+    ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1,
+      "small_threshold_coeff": "3"}, "'small_threshold_coeff'"),
+    ({"grid": [[100, True, 1.0]], "replicates": 1, "master_seed": 1}, "'grid'"),
+    ({"grid": [[100, 1.0, "1"]], "replicates": 1, "master_seed": 1}, "'grid'"),
+    ({"grid": [[True, 1.0, 1.0]], "replicates": 1, "master_seed": 1}, "True"),
+    ({"grid": [], "replicates": 1, "master_seed": 1}, "'grid'"),
+    ({"grid": [[1000000, 10000, 0.01]], "replicates": 1, "master_seed": 1},
+     "1.01e+10 bipartite offsets and members"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -256,39 +297,7 @@ class TestTrialSweepSummarize:
         assert code == 1
         assert "exceeds 1" in err
 
-    @pytest.mark.parametrize("doc,message", [
-        ({"grid": [[100, 1.0, float("nan")]], "replicates": 1, "master_seed": 1},
-         "finite"),
-        ({"grid": [[100, 1.0, "nan"]], "replicates": 1, "master_seed": 1}, "finite"),
-        ({"replicates": 1, "master_seed": 1}, "'grid' is missing"),
-        ({"grid": {"100": [1.0, 1.0]}, "replicates": 1, "master_seed": 1}, "'grid'"),
-        ({"grid": [[100, 1.0]], "replicates": 1, "master_seed": 1}, "'grid'"),
-        ({"grid": [[100, 1.0, 1.0]], "replicates": "two", "master_seed": 1},
-         "'replicates'"),
-        ([[100, 1.0, 1.0]], "JSON object"),
-        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1, "output": 5},
-         "output"),
-        ({"grid": [[100.7, 1.0, 1.0]], "replicates": 1, "master_seed": 1}, "100.7"),
-        ({"grid": [[100, 1.0, 1.0]], "replicates": 2.9, "master_seed": 1},
-         "'replicates'"),
-        ({"grid": [[100, 1.0, 1.0]], "replicates": True, "master_seed": 1},
-         "'replicates'"),
-        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": "7"},
-         "'master_seed'"),
-        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": -1},
-         "'master_seed'"),
-        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1,
-          "small_threshold_coef": 9}, "small_threshold_coef'"),
-        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1,
-          "small_threshold_coeff": float("nan")}, "small_threshold_coeff"),
-        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1,
-          "small_threshold_coeff": True}, "'small_threshold_coeff'"),
-        ({"grid": [[100, 1.0, 1.0]], "replicates": 1, "master_seed": 1,
-          "small_threshold_coeff": "3"}, "'small_threshold_coeff'"),
-        ({"grid": [[100, True, 1.0]], "replicates": 1, "master_seed": 1}, "'grid'"),
-        ({"grid": [[100, 1.0, "1"]], "replicates": 1, "master_seed": 1}, "'grid'"),
-        ({"grid": [[True, 1.0, 1.0]], "replicates": 1, "master_seed": 1}, "True"),
-    ])
+    @pytest.mark.parametrize("doc,message", MALFORMED_CONFIGS)
     def test_sweep_malformed_config_exits_one(self, capsys, tmp_path, doc, message):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(doc))
@@ -296,6 +305,17 @@ class TestTrialSweepSummarize:
                                  "--workers", "1")
         assert code == 1
         assert message in err and out == ""
+
+    @pytest.mark.parametrize("doc,message", [c for c in MALFORMED_CONFIGS
+                                             if isinstance(c[0], dict)])
+    def test_malformed_config_refused_in_python(self, doc, message):
+        # a config built in Python gets the checks of --config; a missing or
+        # unknown field is refused by the dataclass signature itself
+        names = {f.name for f in dataclasses.fields(SweepConfig)}
+        signature_error = "grid" not in doc or not set(doc) <= names
+        with pytest.raises(TypeError if signature_error else ValueError) as info:
+            SweepConfig(**doc)
+        assert message.removesuffix(" is missing") in str(info.value)
 
     @pytest.mark.parametrize("command,flag", [("sweep", "--config"),
                                               ("summarize", "--records")])
@@ -313,6 +333,38 @@ class TestTrialSweepSummarize:
                                  "--workers", "1", "--seed", "-1")
         assert code == 1
         assert "'master_seed'" in err and "-1" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("trial", "--n", "100", "--beta", "1", "--gamma", "1"),
+        ("generate", "--n", "100", "--beta", "1", "--gamma", "1"),
+        ("branching", "--beta", "1", "--gamma", "1", "--reps", "10"),
+        ("degree", "--n", "100", "--beta", "1", "--gamma", "1",
+         "--source", "empirical"),
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 1 and out == ""
+        last = err.splitlines()[-1]
+        assert last.startswith("error: master_seed") and "-1" in last
+
+    @pytest.mark.parametrize("size,argv", [
+        ("1.01e+10 bipartite offsets and members",
+         ("trial", "--n", "1000000", "--beta", "10000", "--gamma", "0.01")),
+        ("1e+11 bipartite offsets and members",
+         ("generate", "--n", "1000000", "--beta", "1", "--gamma", "100000")),
+        ("5e+08 pair keys", ("degree", "--n", "100000", "--beta", "1",
+                             "--gamma", "100", "--source", "empirical")),
+    ], ids=["trial", "generate", "degree"])
+    def test_oversized_exits_one_before_sampling(self, capsys, monkeypatch,
+                                                 size, argv):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"sampled ({name}) despite the size budgets")
+
+        monkeypatch.setattr(cli, "trial_stream", lambda *key: (0, NoDraws()))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert size in err
 
     def test_sweep_unwritable_out_exits_two(self, capsys, tmp_path):
         cfg_path = tmp_path / "s.json"

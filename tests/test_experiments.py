@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import riglab.experiments as experiments
+import riglab.model as model
 from riglab.experiments import (ExperimentRecord, SweepConfig, records_from_csv,
-                                records_to_csv, records_to_json, run_sweep,
+                                records_to_csv, rows_to_json, run_sweep,
                                 run_trial, summarize, summary_to_csv,
-                                summary_to_json, trial_stream)
+                                trial_stream)
 from riglab.model import derive_params, sample_bipartite
 
 _real_trial_task = experiments._trial_task
@@ -203,10 +204,10 @@ class TestPairBudget:
     def test_estimate_is_m_choose2_p2(self, monkeypatch):
         # m=100, C(100,2)=4950, p=0.02: 198 expected pair keys
         params = derive_params(100, 1.0, 2.0)
-        monkeypatch.setattr(experiments, "PAIR_KEY_BUDGET", 197)
+        monkeypatch.setattr(model, "PAIR_KEY_BUDGET", 197)
         with pytest.raises(ValueError, match="pair keys"):
             run_trial(params, np.random.default_rng(0))
-        monkeypatch.setattr(experiments, "PAIR_KEY_BUDGET", 199)
+        monkeypatch.setattr(model, "PAIR_KEY_BUDGET", 199)
         run_trial(params, np.random.default_rng(0))
 
     def test_sweep_config_refused(self):
@@ -359,7 +360,7 @@ class TestSerialization:
     def test_json_records(self):
         result = run_sweep(small_config(replicates=1))
         buf = io.StringIO()
-        records_to_json(result.records, buf)
+        rows_to_json(result.records, buf)
         docs = json.loads(buf.getvalue())
         assert len(docs) == 2
         assert docs[0]["n"] == 200
@@ -378,6 +379,13 @@ class TestSerialization:
         config = SweepConfig.from_json(io.StringIO(json.dumps(doc)))
         assert config.grid == ((100, 1.0, 1.0), (100_000, 1.0, 2.0))
         assert all(type(n) is int for n, _, _ in config.grid)
+
+    def test_config_from_python_normalised_like_json(self):
+        doc = {"grid": [[100, 1, 2]], "replicates": 1, "master_seed": 1}
+        config = SweepConfig(**doc)
+        assert config.grid == ((100, 1.0, 2.0),)
+        assert [type(x) for x in config.grid[0]] == [int, float, float]
+        assert config == SweepConfig.from_json(io.StringIO(json.dumps(doc)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -426,7 +434,7 @@ class TestSummarize:
         rows = summarize(run_sweep(small_config(replicates=2)).records)
         csv_buf, json_buf = io.StringIO(), io.StringIO()
         summary_to_csv(rows, csv_buf)
-        summary_to_json(rows, json_buf)
+        rows_to_json(rows, json_buf)
         lines = csv_buf.getvalue().splitlines()
         assert lines[0].startswith("n,beta,gamma,mu,replicates,largest_frac_mean")
         assert len(lines) == 3

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riglab.model import (BipartiteGraph, derive_params, project_simple,
-                          project_with_excess, read_bipartite, sample_aux_lists,
-                          sample_bipartite, write_bipartite)
+from riglab.model import (BipartiteGraph, _fill_distinct, derive_params,
+                          project_simple, project_with_excess, read_bipartite,
+                          sample_aux_lists, sample_bipartite, write_bipartite)
 
 import oracle
 
@@ -105,6 +105,20 @@ class TestSampleBipartite:
         # p close to 1 exercises the permutation path
         b = sample_aux_lists(5, 200, 0.9, rng(1))
         b.validate()
+
+    def test_fill_distinct_matches_loop_oracle(self):
+        # the same subset and the same generator state after it, on 1,500
+        # seeded cases from sparse (d << n) to dense (d = n) segments
+        cases = rng(20261018)
+        for case in range(1500):
+            n = int(cases.integers(1, 400))
+            d = int(cases.integers(1, n + 1))
+            first = cases.integers(0, n, size=d)
+            a = np.random.Generator(np.random.Philox(case))
+            b = np.random.Generator(np.random.Philox(case))
+            got = _fill_distinct(a, n, d, first)
+            assert np.array_equal(got, oracle.fill_distinct_loop(b, n, d, first))
+            np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
 
     def test_validate_rejects_bad_lists(self):
         with pytest.raises(ValueError):
