@@ -1,7 +1,9 @@
 """Degree distributions: exact generating functions, pmfs, moments, samplers.
 
 Covers the intersection-graph degree law (finite n), its compound Poisson
-limit, and the compound binomial law of the multigraph projection.
+limit, and the compound binomial law of the multigraph projection.  All three
+pmfs are one mixture block (_mixture_pmf) of binomial or Poisson rows, with a
+size budget and each row's exact tail mass.
 """
 
 from __future__ import annotations
@@ -146,32 +148,41 @@ def _cover_prob(p: float, N):
     return -np.expm1(N * math.log1p(-p))
 
 
-def _mixture_pmf(m: int, p: float, component, length: int,
-                 kmax: int | None = None) -> DegreePmf:
+def _mixture_pmf(nrows: int, kmax: int, length: int, law) -> DegreePmf:
+    """sum_j w_j f_j(k) on k = 0..kmax, zero-padded to `length`, where law(ks)
+    gives the row weights w, the weight set aside, the rows' pmfs f_j on ks and
+    each row's exact mass beyond kmax.  The tail is the set-aside weight plus
+    w @ (mass beyond kmax), not 1 - sum(probs), which is rounding noise; no row
+    is cut, as the far tail rests on rows of tiny weight.  Refuses nrows x
+    (kmax+1) entries plus `length` over EXACT_PMF_BUDGET before calling law."""
+    if nrows * (kmax + 1) + length > EXACT_PMF_BUDGET:
+        raise ValueError(
+            f"exact pmf needs {nrows} x {kmax + 1} mixture entries plus {length} "
+            f"degrees, over the budget of {EXACT_PMF_BUDGET}")
+    w, set_aside, rows, beyond = law(np.arange(kmax + 1))
+    probs = np.zeros(length)
+    probs[:kmax + 1] = w @ rows
+    return DegreePmf(probs, float(set_aside + w @ beyond))
+
+
+def _binom_mixture(m: int, p: float, component, length: int, kmax: int | None = None) -> DegreePmf:
     """sum_N Bin(m,p)(N) Bin(component(N))(k) for k = 0..kmax (default: the
-    bulk of the last row, which dominates), zero-padded to `length`, over the
-    N in the bulk of Bin(m, p) weighing at least _MIXTURE_CUT; the tail holds
-    the rows cut and each row's exact mass beyond kmax.  Refuses rows x
-    (kmax+1) entries plus `length` over EXACT_PMF_BUDGET before allocating."""
+    bulk of the last row, which dominates), over the N in the bulk of Bin(m, p)
+    weighing at least _MIXTURE_CUT, whose weight the rows cut set aside."""
     from scipy.special import bdtrc
 
     lo, hi = _bulk(m, p)
-    if kmax is None:
-        kmax = _bulk(*component(hi))[1]
-    if (hi - lo + 1) * (kmax + 1) + length > EXACT_PMF_BUDGET:
-        raise ValueError(
-            f"exact pmf needs {hi - lo + 1} x {kmax + 1} mixture entries plus {length} "
-            f"degrees, over the budget of {EXACT_PMF_BUDGET}")
-    rows = np.arange(lo, hi + 1)
-    w = _binom_pmf(rows, m, p)
-    keep = w >= _MIXTURE_CUT
-    size, prob = component(rows[keep])
-    probs = np.zeros(length)
-    probs[:kmax + 1] = w[keep] @ _binom_pmf(np.arange(kmax + 1), np.asarray(size)[..., None],
-                                            np.asarray(prob)[..., None])
-    # bdtrc(k, size, .) is NaN for k > size, where the mass beyond k is 0
-    tail = w[~keep].sum() + w[keep] @ bdtrc(np.minimum(kmax, size), size, prob)
-    return DegreePmf(probs, float(tail))
+    kmax = _bulk(*component(hi))[1] if kmax is None else kmax
+
+    def law(ks):
+        N = np.arange(lo, hi + 1)
+        w = _binom_pmf(N, m, p)
+        keep = w >= _MIXTURE_CUT
+        size, prob = (np.asarray(a) for a in component(N[keep]))
+        # bdtrc(k, size, .) is NaN for k > size, where the mass beyond k is 0
+        return (w[keep], w[~keep].sum(), _binom_pmf(ks, size[..., None], prob[..., None]),
+                bdtrc(np.minimum(ks[-1], size), size, prob))
+    return _mixture_pmf(hi - lo + 1, kmax, length, law)
 
 
 def rig_gf(m: int, n: int, p: float, z: float) -> float:
@@ -204,21 +215,22 @@ def rig_pmf(m: int, n: int, p: float, mode: str = "exact",
     whose terms are all non-negative, up to the bulk of its last row, which
     dominates the others; it returns n entries and refuses a mixture block
     larger than EXACT_PMF_BUDGET.  Empirical mode needs rng and a vertex
-    sample count, takes every vertex of ceil(samples/n) sampled graphs, and
-    refuses, before sampling, a graph over either budget of check_trial_size.
+    sample count, counts every vertex of ceil(samples/n) sampled graphs, one
+    graph at a time, and refuses, before sampling, a graph over either budget
+    of check_trial_size.
     """
     if mode == "exact":
         try:
-            return _mixture_pmf(m, p, lambda N: (n - 1, _cover_prob(p, N)), n)
+            return _binom_mixture(m, p, lambda N: (n - 1, _cover_prob(p, N)), n)
         except ValueError as exc:  # the budget refusal
             raise ValueError(f"{exc}; use mode='empirical'") from None
     if mode == "empirical":
         if rng is None or samples is None or samples < 1:
             raise ValueError("empirical mode requires rng and samples >= 1")
         check_trial_size(n, m, p)
-        counts = np.bincount(np.concatenate([
-            project_simple(sample_aux_lists(n, m, p, rng)).degrees()
-            for _ in range(-(-samples // n))]))
+        counts = np.trim_zeros(sum(
+            np.bincount(project_simple(sample_aux_lists(n, m, p, rng)).degrees(), minlength=n)
+            for _ in range(-(-samples // n))), "b")
         return DegreePmf(counts / counts.sum())
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -265,50 +277,48 @@ def cpoisson_gf(spec: CompoundPoissonSpec, s: float) -> float:
 
 
 def cpoisson_pmf(spec: CompoundPoissonSpec, kmax: int | None = None) -> DegreePmf:
-    """Truncated compound Poisson pmf with explicit tail mass.
+    """Compound Poisson pmf on 0..kmax with its exact tail mass beyond kmax.
 
-    Outer Poisson(lambda1) sum truncated once its cumulative weight exceeds
-    1 - 1e-12; conditional on j outer events the total is Poisson(j*lambda2).
-    kmax defaults to the mean plus 12 sd plus 20.  Rejects kmax so small that
-    the tail mass exceeds 0.1.
+    The mixture over j ~ Poisson(lambda1) of Poisson(j lambda2), on rows
+    j = 0..J with the mass beyond J set aside.  J covers the bulk (mean + 10 sd
+    + 33) of Poisson(lambda1) and of the outer count kmax/lambda2 that a total
+    near kmax needs, so the far tail keeps its relative accuracy, clipped at
+    max(6 lambda1, 1000), beyond which w_j <= (e lambda1 / j)^j is below the
+    smallest double.  kmax defaults to the mean plus 12 sd plus 20.  Refuses
+    (J+1) x (kmax+1) entries over EXACT_PMF_BUDGET, and a tail mass over 0.1.
     """
     l1, l2 = spec.lambda1, spec.lambda2
     if kmax is None:
         kmax = math.ceil(l1 * l2 + 12.0 * math.sqrt(max(l1 * l2 * (1.0 + l2), 1e-12)) + 20)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    ks = np.arange(kmax + 1)
-    if l1 == 0.0 or l2 == 0.0:
-        probs = np.zeros(kmax + 1)
-        probs[0] = 1.0
-        return DegreePmf(probs)
-    from scipy.special import gammaln, pdtr, pdtrik, xlogy
+    from scipy.special import gammaln, pdtrc, xlogy
 
-    def poisson_pmf(k, mu):  # as scipy.stats.poisson computes it
-        return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+    x = max(l1, kmax / l2 if l2 > 0 else math.inf)
+    J = math.ceil(min(x + 10.0 * math.sqrt(x) + 33.0, max(6.0 * l1, 1000.0)))
 
-    # the 1 - 1e-12 quantile of Poisson(l1), found as scipy.stats finds it
-    j = max(math.ceil(pdtrik(1.0 - 1e-12, l1)) - 1, 0)
-    jmax = (j if pdtr(j, l1) >= 1.0 - 1e-12 else j + 1) + 1
-    js = np.arange(jmax + 1)
-    w = poisson_pmf(js, l1)
-    mat = poisson_pmf(ks[None, :], (js * l2)[:, None])
-    mat[0] = 0.0
-    mat[0, 0] = 1.0  # j=0: no summands, total is exactly 0
-    probs = w @ mat
-    tail = max(0.0, 1.0 - float(probs.sum()))
-    if tail > 0.1:
-        raise ValueError(f"kmax={kmax} leaves tail mass {tail}; enlarge kmax")
-    return DegreePmf(probs, tail)
+    def law(ks):
+        js = np.arange(J + 1)
+        mu = js * l2
+        # Poisson(mu) pmfs from an outer product; column 0 is exp(-mu), also at mu = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = np.multiply.outer(np.log(mu), ks)
+        rows -= mu[:, None]
+        rows -= gammaln(ks + 1)
+        np.exp(rows, out=rows)
+        rows[:, 0] = np.exp(-mu)
+        return (np.exp(xlogy(js, l1) - l1 - gammaln(js + 1)), pdtrc(J, l1),
+                rows, pdtrc(ks[-1], mu))
+    pmf = _mixture_pmf(J + 1, kmax, kmax + 1, law)
+    if pmf.tail > 0.1:
+        raise ValueError(f"kmax={kmax} leaves tail mass {pmf.tail}; enlarge kmax")
+    return pmf
 
 
 def cpoisson_sample(spec: CompoundPoissonSpec, rng: np.random.Generator,
                     size: int | None = None):
-    """Sample the compound Poisson total.
-
-    Uses N ~ Poisson(lambda1) and the exact identity that the sum of N i.i.d.
-    Poisson(lambda2) variables is Poisson(N*lambda2).
-    """
+    """Sample the compound Poisson total: N ~ Poisson(lambda1), then the exact
+    identity that N i.i.d. Poisson(lambda2) variables sum to Poisson(N*lambda2)."""
     N = rng.poisson(spec.lambda1, size=size)
     return rng.poisson(spec.lambda2 * N)
 
@@ -345,7 +355,7 @@ def rimg_pmf(m: int, n: int, p: float, kmax: int | None = None) -> DegreePmf:
     N ~ Binomial(m, p) auxiliaries, then degree Binomial(N(n-1), p), on the
     mixture rows of rig_pmf.  Refuses a mixture block over EXACT_PMF_BUDGET."""
     kmax = m * (n - 1) if kmax is None else kmax
-    return _mixture_pmf(m, p, lambda N: (N * (n - 1), p), kmax + 1, kmax)
+    return _binom_mixture(m, p, lambda N: (N * (n - 1), p), kmax + 1, kmax)
 
 
 def rimg_sample(m: int, n: int, p: float, rng: np.random.Generator,

@@ -37,7 +37,7 @@ class ModelParams:
 
     m = floor(beta * n) auxiliary vertices, p = gamma * n^(-(1+alpha)/2) edge
     probability, mu = beta * gamma^2.  mu is the phase-transition parameter
-    and is meaningful only for alpha = 1 (see ``mu_applicable``).
+    and is meaningful only for alpha = 1.
     """
 
     n: int
@@ -47,11 +47,6 @@ class ModelParams:
     m: int
     p: float
     mu: float
-
-    @property
-    def mu_applicable(self) -> bool:
-        """True iff the asymptotic mean-degree interpretation of mu applies."""
-        return self.alpha == 1.0
 
 
 def is_int(value) -> bool:
@@ -181,17 +176,11 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return len(self.u)
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.u.tolist(), self.v.tolist()))
-
     def degrees(self) -> np.ndarray:
         if self._degrees is None:
             self._degrees = (np.bincount(self.u, minlength=self.n)
                              + np.bincount(self.v, minlength=self.n))
         return self._degrees
-
-    def degree(self, vertex: int) -> int:
-        return int(self.degrees()[vertex])
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency (offsets, neighbors); neighbors ascending per vertex."""

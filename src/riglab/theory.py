@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import CompoundPoissonSpec, rig_degree_sample, rig_gf, rimg_log_gf
+from .degree import CompoundPoissonSpec, cpoisson_sample, rig_degree_sample, rig_gf, rimg_log_gf
 
 __all__ = [
     "FixedPointResult",
@@ -124,9 +124,9 @@ class CompoundPoissonOffspring:
         self.spec = spec
 
     def total_children(self, rng, pop: int) -> int:
-        # the pooled offspring of a generation is itself compound Poisson:
-        # Poisson(lambda2 * Poisson(pop * lambda1)), drawn in two scalar calls
-        return int(rng.poisson(self.spec.lambda2 * rng.poisson(self.spec.lambda1 * pop)))
+        # the pooled offspring of a generation is CPoisson(pop * lambda1, lambda2)
+        spec = CompoundPoissonSpec(self.spec.lambda1 * pop, self.spec.lambda2)
+        return int(cpoisson_sample(spec, rng))
 
 
 class RigDegreeOffspring:

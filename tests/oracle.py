@@ -143,3 +143,22 @@ def fill_distinct_loop(rng: np.random.Generator, n: int, d: int,
                 if len(out) == d:
                     break
     return np.sort(np.asarray(out, dtype=np.int64))
+
+
+def cpoisson_log_pmf(lambda1: float, lambda2: float, kmax: int,
+                     jmax: int = 6000) -> np.ndarray:
+    """log P(X = k), k = 0..kmax, for X a Poisson(lambda1) sum of i.i.d.
+    Poisson(lambda2) variables: a log-sum-exp over every outer count j <= jmax
+    of log Poisson(lambda1)(j) + log Poisson(j lambda2)(k), in blocks of 100
+    degrees to keep the (jmax x 100) terms small."""
+    from scipy.special import gammaln, logsumexp
+
+    j = np.arange(1, jmax + 1)[:, None]
+    log_w = j * math.log(lambda1) - lambda1 - gammaln(j + 1)
+    out = np.empty(kmax + 1)
+    for lo in range(0, kmax + 1, 100):
+        k = np.arange(lo, min(lo + 100, kmax + 1))
+        out[k] = logsumexp(log_w + k * np.log(j * lambda2) - j * lambda2 - gammaln(k + 1),
+                           axis=0)
+    out[0] = np.logaddexp(out[0], -lambda1)  # j = 0: the total is 0
+    return out

@@ -189,6 +189,13 @@ class TestDegree:
         pmf = DegreePmf.read_csv(io.StringIO(out))
         assert abs(pmf.mean() - 1.0) < 1e-3
 
+    def test_limit_over_budget_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "degree", "--n", "10", "--beta", "1e5",
+                                 "--gamma", "1", "--source", "limit")
+        assert code == 1
+        assert out == ""
+        assert "budget" in err
+
     def test_exact_over_budget_fails_validation(self, capsys):
         code, out, err = run_cli(capsys, "degree", "--n", "1000000", "--beta",
                                  "100000", "--gamma", "1", "--alpha", "0")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import tracemalloc
@@ -12,7 +13,7 @@ from riglab.degree import (EXACT_PMF_BUDGET, CompoundPoissonSpec, DegreePmf,
                            cpoisson_gf, cpoisson_pmf, cpoisson_sample,
                            rig_degree_sample, rig_gf, rig_moments, rig_pmf,
                            rimg_log_gf, rimg_pmf, rimg_sample, tv_distance)
-from riglab.model import derive_params
+from riglab.model import derive_params, project_simple, sample_aux_lists
 
 import oracle
 
@@ -23,6 +24,15 @@ def rng(seed=0):
 
 def empirical_pmf(draws) -> DegreePmf:
     return DegreePmf(np.bincount(draws) / len(draws))
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +171,16 @@ class TestRigPmf:
         emp = rig_pmf(m, n, p, mode="empirical", rng=rng(3), samples=100_000)
         assert tv_distance(emp, rig_pmf(m, n, p)) < 0.02
 
+    def test_empirical_peak_is_one_graph(self):
+        # degrees are counted graph by graph, so ten times the samples add at
+        # most one graph's worth to the traced peak
+        params = derive_params(100, 1.0, 1.0)
+        m, n, p = params.m, params.n, params.p
+        run = lambda samples: rig_pmf(m, n, p, mode="empirical", rng=rng(2), samples=samples)
+        assert run(1000).probs[-1] > 0  # trimmed to the largest degree seen
+        one_graph = traced_peak(lambda: project_simple(sample_aux_lists(n, m, p, rng(1))).degrees())
+        assert traced_peak(lambda: run(200_000)) <= traced_peak(lambda: run(20_000)) + one_graph
+
     def test_marginal_sampler_matches_exact(self):
         m = n = 80
         p = 1.5 / n
@@ -240,6 +260,36 @@ class TestCompoundPoisson:
     def test_pmf_point_mass(self):
         pmf = cpoisson_pmf(CompoundPoissonSpec(0.0, 2.0), 5)
         assert pmf.probs[0] == 1.0 and pmf.tail == 0.0
+        pmf = cpoisson_pmf(CompoundPoissonSpec(3.0, 0.0), 5)
+        assert pmf.probs[0] == pytest.approx(1.0, abs=1e-15) and not pmf.probs[1:].any()
+
+    def test_pmf_tiny_rates(self):
+        # kmax / lambda2 = 2.1e6 outer events, clipped at 1000 rows
+        spec = CompoundPoissonSpec(1e-5, 1e-5)
+        assert cpoisson_pmf(spec).probs[0] == pytest.approx(cpoisson_gf(spec, 0.0), rel=1e-15)
+
+    @pytest.mark.parametrize("l1,l2,kmax", [
+        (1.0, 2.0, None), (1.0, 2.0, 400), (2.0, 0.5, None), (2.0, 0.5, 400),
+        (0.7, 0.7, None), (0.7, 0.7, 400), (0.05, 3.0, None), (0.05, 3.0, 400),
+        (280.0, 0.7, 400)])
+    def test_pmf_far_tail_vs_log_space_oracle(self, l1, l2, kmax):
+        # every entry a double holds, and the tail, to 1e-12 relative: the
+        # far tail needs far more outer events than the bulk of Poisson(l1)
+        pmf = cpoisson_pmf(CompoundPoissonSpec(l1, l2), kmax)
+        kmax = len(pmf.probs) - 1
+        ref = np.exp(oracle.cpoisson_log_pmf(l1, l2, 2 * kmax + 200))
+        tail = ref[kmax + 1:].sum()
+        assert ref[-1] <= 1e-16 * tail  # the oracle's own tail has converged
+        held = pmf.probs >= 1e-300
+        assert np.abs(pmf.probs[held] / ref[:kmax + 1][held] - 1.0).max() <= 1e-12
+        assert abs(pmf.tail - tail) <= 1e-12 * tail
+
+    def test_pmf_budget(self):
+        # at lambda1 = 1e5 the block would hold 108,668 x 105,388 entries
+        def refused():
+            with pytest.raises(ValueError, match="budget"):
+                cpoisson_pmf(CompoundPoissonSpec(1e5, 1.0))
+        assert traced_peak(refused) < 10 * 10 ** 6
 
     def test_pmf_zero_entry_equals_gf(self):
         spec = CompoundPoissonSpec(1.0, 1.0)
@@ -330,13 +380,10 @@ class TestRimg:
     def test_pmf_budget(self):
         # m = n = 400 would need a 58 x 159,601 block, about 0.7 GB with its
         # temporaries; it is refused before anything is allocated
-        tracemalloc.start()
-        try:
+        def refused():
             with pytest.raises(ValueError, match="budget"):
                 rimg_pmf(400, 400, 0.01)
-            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
-        finally:
-            tracemalloc.stop()
+        assert traced_peak(refused) < 2 ** 20
         with pytest.raises(ValueError, match="budget"):
             rimg_pmf(10, 10, 0.1, kmax=EXACT_PMF_BUDGET)
         assert len(rimg_pmf(10, 10, 0.1, kmax=50).probs) == 51
@@ -376,6 +423,30 @@ class TestDominance:
         cdf_rig = np.cumsum(np.pad(rig.probs, (0, k - len(rig.probs))))
         cdf_rimg = np.cumsum(np.pad(rimg.probs, (0, k - len(rimg.probs))))
         assert np.all(cdf_rimg <= cdf_rig + 1e-12)
+
+
+class TestFrozenMixtures:
+    """SHA-256 of the probs and tail bytes of rig_pmf and rimg_pmf, frozen
+    with numpy 2.4 and scipy 1.17 on x86-64: a change to the shared mixture
+    block must keep the binomial mixtures bit for bit."""
+
+    @staticmethod
+    def digest(pmf: DegreePmf) -> str:
+        return hashlib.sha256(pmf.probs.tobytes() + np.float64(pmf.tail).tobytes()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("args,want", [
+        ((200, 200, 0.005), "6319740031177e78"),
+        ((50, 30, 0.07), "6b5b210f8b7822a5"),
+        ((2000, 1000, 1.5e-3), "4f6c51b9ac20f4fe")])
+    def test_rig_pmf(self, args, want):
+        assert self.digest(rig_pmf(*args)) == want
+
+    @pytest.mark.parametrize("args,want", [
+        ((3, 3, 0.5), "3d95d99b17be53a5"),
+        ((10, 10, 0.1), "b3ae56d0178d31de"),
+        ((40, 20, 0.05, 60), "c35daad507ed9284")])
+    def test_rimg_pmf(self, args, want):
+        assert self.digest(rimg_pmf(*args)) == want
 
 
 # ---------------------------------------------------------------------------
