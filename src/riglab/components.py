@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SimpleGraph
+from .model import SimpleGraph, _blocks
 
 __all__ = ["ComponentCensus", "ExplorationTrace", "census", "explore", "small_fraction"]
 
@@ -46,59 +46,71 @@ class ExplorationTrace:
 def census(g: SimpleGraph) -> ComponentCensus:
     """Exact component sizes by union-find in numpy, no Python loop per vertex.
 
-    Every pointer goes from a vertex to a larger one, so the forest cannot
-    close a cycle; this needs only SimpleGraph's invariant u < v.  Round one
-    hooks each vertex onto its largest neighbour, which on edges sorted by
-    (u, v) is the last edge of its run of u.  Each later round relabels the
-    edges by the roots of their ends, drops those inside one tree, and hooks
-    every root onto the largest root it shares an edge with (Shiloach and
-    Vishkin's hooking, J. Algorithms 3, 1982, in max form).  Pointer jumping
-    after round one points every vertex at its root; after each later round
-    it does so only for the round-one roots on the remaining edges, so every
-    other vertex still points at its round-one root and one last jump labels
-    them all.
+    Every hook is a plain scatter parent[lo] = hi over pairs lo < hi whose lo
+    is a root.  Where several pairs share lo, whichever duplicate write wins
+    points lo at some larger vertex, so pointers only ever increase and no
+    cycle can close; and every lo is hooked, so each round leaves fewer roots
+    on the pairs.  Round one hooks along the edges themselves, since u < v is
+    SimpleGraph's invariant, and pointer jumping then points every vertex at
+    its root.  Each later round hooks along the crossing edges, the edges
+    between two trees held as root pairs (Shiloach and Vishkin's hooking,
+    J. Algorithms 3, 1982, onto any larger root), jumps the round-one roots
+    on them to their roots and relabels them, dropping the ones inside one
+    tree.  Every other vertex still points at its round-one root, so one last
+    jump labels them all.  The crossing edges are built and updated block by
+    block in place and freed before that jump, so only a block's temporaries
+    come on top of them.
     """
     parent = np.arange(g.n)
     u, v = g.u, g.v
-    if g.edge_count:
-        last = np.flatnonzero(u[1:] != u[:-1])
-        hooked = np.append(u[last], u[-1])
-        parent[hooked] = np.append(v[last], v[-1])
-        del last
-        _jump(parent, hooked)
-        del hooked
-    # the edges between round-one trees, as root pairs; the mask comes first,
-    # so the edge-length gathers are freed before the kept ends are gathered
-    keep = parent[u] != parent[v]
-    a = parent[u[keep]]
-    b = parent[v[keep]]
-    del keep
-    if len(a):
-        active = np.zeros(g.n, dtype=bool)
-        active[a] = True
-        active[b] = True
-        active = np.flatnonzero(active)
-        while True:
-            np.maximum.at(parent, a, b)
-            np.maximum.at(parent, b, a)
-            _jump(parent, active)
-            a = parent[a]
-            b = parent[b]
-            keep = a != b
-            if not keep.any():
-                break
-            a = a[keep]
-            b = b[keep]
-        parent = parent[parent]
+    parent[u] = v
+    _jump(parent, slice(None))
+    # the edges between round-one trees, as root pairs lo < hi
+    cross = np.empty(g.edge_count, dtype=bool)
+    for s in _blocks(g.edge_count):
+        np.not_equal(parent[u[s]], parent[v[s]], out=cross[s])
+    lo = np.empty(np.count_nonzero(cross), dtype=np.int64)
+    hi = np.empty_like(lo)
+    filled = 0
+    for s in _blocks(g.edge_count):
+        filled = _put_roots(parent, u[s][cross[s]], v[s][cross[s]], lo, hi, filled)
+    del cross
+    active = np.zeros(g.n, dtype=bool)
+    active[lo] = True
+    active[hi] = True
+    active = np.flatnonzero(active)
+    while len(lo):
+        parent[lo] = hi
+        _jump(parent, active)
+        # compacting in place: block s is read before any write reaches it
+        filled = 0
+        for s in _blocks(len(lo)):
+            filled = _put_roots(parent, lo[s], hi[s], lo, hi, filled)
+        lo, hi = lo[:filled], hi[:filled]
+    del lo, hi
+    parent = parent[parent]
     # a counting sort: per_size[s] components have s vertices
     per_size = np.bincount(np.bincount(parent))
     sizes = np.repeat(np.arange(len(per_size) - 1, 0, -1), per_size[:0:-1])
     return ComponentCensus(sizes=sizes, n=g.n)
 
 
-def _jump(parent: np.ndarray, s: np.ndarray) -> None:
-    """Pointer jumping: point every vertex of s at its root, given that every
-    pointer out of s ends in s or at a root."""
+def _put_roots(parent: np.ndarray, a: np.ndarray, b: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray, filled: int) -> int:
+    """Write the root pairs of the edges (a, b) that join two trees, smaller
+    root first, at lo[filled:] and hi[filled:]; return the new fill."""
+    ra, rb = parent[a], parent[b]
+    keep = ra != rb
+    ra, rb = ra[keep], rb[keep]
+    end = filled + len(ra)
+    np.minimum(ra, rb, out=lo[filled:end])
+    np.maximum(ra, rb, out=hi[filled:end])
+    return end
+
+
+def _jump(parent: np.ndarray, s) -> None:
+    """Pointer jumping: point every vertex of s (an index array, or a slice)
+    at its root, given that every pointer out of s ends in s or at a root."""
     ps = parent[s]
     while True:
         pps = parent[ps]

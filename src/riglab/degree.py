@@ -100,8 +100,10 @@ class CompoundPoissonSpec:
     lambda2: float
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("rates must be non-negative")
+        for name in ("lambda1", "lambda2"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {rate}")
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +284,11 @@ def cpoisson_pmf(spec: CompoundPoissonSpec, kmax: int | None = None) -> DegreePm
     The mixture over j ~ Poisson(lambda1) of Poisson(j lambda2), on rows
     j = 0..J with the mass beyond J set aside.  J covers the bulk (mean + 10 sd
     + 33) of Poisson(lambda1) and of the outer count kmax/lambda2 that a total
-    near kmax needs, so the far tail keeps its relative accuracy, clipped at
-    max(6 lambda1, 1000), beyond which w_j <= (e lambda1 / j)^j is below the
-    smallest double.  kmax defaults to the mean plus 12 sd plus 20.  Refuses
-    (J+1) x (kmax+1) entries over EXACT_PMF_BUDGET, and a tail mass over 0.1.
+    near kmax needs, so the far tail keeps its relative accuracy, but stops
+    where the weight w_j = Poisson(lambda1)(j) falls below the smallest
+    double: the rows beyond would add exactly 0.  kmax defaults to the mean
+    plus 12 sd plus 20.  Refuses (J+1) x (kmax+1) entries over
+    EXACT_PMF_BUDGET, and a tail mass over 0.1.
     """
     l1, l2 = spec.lambda1, spec.lambda2
     if kmax is None:
@@ -294,8 +297,10 @@ def cpoisson_pmf(spec: CompoundPoissonSpec, kmax: int | None = None) -> DegreePm
         raise ValueError("kmax must be >= 0")
     from scipy.special import gammaln, pdtrc, xlogy
 
-    x = max(l1, kmax / l2 if l2 > 0 else math.inf)
-    J = math.ceil(min(x + 10.0 * math.sqrt(x) + 33.0, max(6.0 * l1, 1000.0)))
+    J = _last_weighty_row(l1)
+    if l2 > 0:
+        x = max(l1, kmax / l2)
+        J = min(J, math.ceil(x + 10.0 * math.sqrt(x) + 33.0))
 
     def law(ks):
         js = np.arange(J + 1)
@@ -313,6 +318,23 @@ def cpoisson_pmf(spec: CompoundPoissonSpec, kmax: int | None = None) -> DegreePm
     if pmf.tail > 0.1:
         raise ValueError(f"kmax={kmax} leaves tail mass {pmf.tail}; enlarge kmax")
     return pmf
+
+
+def _last_weighty_row(l1: float) -> int:
+    """The last j whose Poisson(l1) weight exp(j log l1 - l1 - log j!) is
+    above e^-746, below which a double underflows to 0.  The weight falls
+    from j = floor(l1) on and is under (e l1 / j)^j, below e^-746 at
+    j = max(6 l1, 1000), so a bisection between the two finds it."""
+    if l1 == 0:
+        return 0
+    lo, hi = math.floor(l1), math.ceil(max(6.0 * l1, 1000.0))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * math.log(l1) - l1 - math.lgamma(mid + 1) > -746.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def cpoisson_sample(spec: CompoundPoissonSpec, rng: np.random.Generator,

@@ -298,9 +298,13 @@ def sample_bipartite(params: ModelParams, rng: np.random.Generator) -> Bipartite
 # projections
 # ---------------------------------------------------------------------------
 
-# A trial's traced peak is about 37 bytes per pair key (37.0 and 36.5 at
-# n = 10^6, gamma = 2 and 4), so this budget keeps one trial near 1.9 GB.
+# A trial's traced peak is about 31 bytes per pair key (31.0 and 30.7 at
+# n = 10^6, gamma = 2 and 4), so this budget keeps one trial near 1.6 GB.
 PAIR_KEY_BUDGET = 50_000_000
+
+# members, pair keys or edges per block of a pass that fills or updates an
+# array block by block, so that its temporaries stay a few MB at any size
+BLOCK = 1 << 16
 
 
 def check_trial_size(n: int, m: int, p: float) -> None:
@@ -314,36 +318,50 @@ def check_trial_size(n: int, m: int, p: float) -> None:
             f"expected {expected:.3g} pair keys (n={n}, m={m}, p={p!r}) exceeds "
             f"the budget of {PAIR_KEY_BUDGET:.3g}")
 
+
+def _blocks(size: int) -> Iterator[slice]:
+    """Consecutive slices of at most BLOCK entries covering range(size)."""
+    for lo in range(0, size, BLOCK):
+        yield slice(lo, lo + BLOCK)
+
+
 def _pair_keys(b: BipartiteGraph) -> np.ndarray:
     """All vertex pairs sharing an auxiliary, one key per sharing auxiliary.
 
-    Keys encode (i, j), i < j, as i*n + j.  Each member position is paired
-    with every later position of its list in one repeat/arange pass; lists
-    are strictly increasing, so the left member is the smaller one.  Each
-    temporary is freed as soon as it has been used, so at most two arrays of
-    one entry per key are alive at a time.
+    Keys encode (i, j), i < j, as i*n + j, in order of the left member's
+    position, then the right one's.  One array of sum_k C(d_k, 2) keys is
+    filled block by block over auxiliaries holding about BLOCK members: in a
+    block, each member position is paired with every later position of its
+    list in one repeat/arange pass; lists are strictly increasing, so the
+    left member is the smaller one.  Only a block's temporaries come on top.
     """
-    pos = np.arange(b.edge_count, dtype=np.int64)
-    later = np.repeat(b.offsets[1:], b.aux_degrees())
-    later -= pos
-    later -= 1
-    # the pairs of position i start at index cumsum(later)[i] - later[i];
-    # a pair's index plus shift[i] is its right position
-    shift = np.cumsum(later)
-    shift -= later
-    np.subtract(pos, shift, out=shift)
-    shift += 1
-    del pos
-    right = np.repeat(shift, later)
-    del shift
-    right += np.arange(right.size, dtype=np.int64)
-    keys = b.members[right]
-    del right
-    left = np.repeat(b.members, later)
-    del later
-    left *= b.n
-    left += keys
-    return left
+    deg = b.aux_degrees()
+    keys = np.empty(int(deg @ (deg - 1)) // 2, dtype=np.int64)
+    del deg
+    k0 = filled = 0
+    while k0 < b.m:
+        # auxiliaries k0..k1-1: as many as fit in BLOCK members, at least one
+        k1 = max(k0 + 1, int(np.searchsorted(b.offsets, b.offsets[k0] + BLOCK, "right")) - 1)
+        off = b.offsets[k0:k1 + 1] - b.offsets[k0]
+        members = b.members[b.offsets[k0]:b.offsets[k1]]
+        pos = np.arange(members.size)
+        later = np.repeat(off[1:], np.diff(off))
+        later -= pos
+        later -= 1
+        # the pairs of position i start at index cumsum(later)[i] - later[i];
+        # a pair's index plus shift[i] is its right position
+        shift = np.cumsum(later)
+        shift -= later
+        np.subtract(pos, shift, out=shift)
+        shift += 1
+        right = np.repeat(shift, later)
+        right += np.arange(right.size)
+        out = keys[filled:filled + right.size]
+        np.multiply(np.repeat(members, later), b.n, out=out)
+        out += members[right]
+        filled += right.size
+        k0 = k1
+    return keys
 
 
 def project_simple(b: BipartiteGraph) -> SimpleGraph:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from riglab import model
 from riglab.components import census, explore, small_fraction
 from riglab.degree import DegreePmf, rig_pmf, tv_distance
 from riglab.model import SimpleGraph, derive_params, project_simple, sample_bipartite
@@ -101,6 +102,43 @@ class TestCensus:
             assert sorted(np.repeat(sizes, sizes).tolist()) == per_vertex
 
 
+def hub_graphs():
+    """Graphs where many edges share one end: stars centred on the smallest
+    and on the largest label, K_{2,k}, and hubs with overlapping random
+    leaf sets, under permuted labels."""
+    n = 3000
+    leaves = np.arange(1, n)
+    yield SimpleGraph.from_edges(n, zip([0] * (n - 1), leaves.tolist()))
+    yield SimpleGraph.from_edges(n, zip((leaves - 1).tolist(), [n - 1] * (n - 1)))
+    yield SimpleGraph.from_edges(n, [(h, x) for h in (0, n - 1) for x in range(1, n - 1)])
+    hubs = np.repeat(np.arange(6), 400)
+    leaf_sets = rng(7).integers(6, n, size=hubs.size)
+    for seed in range(2):
+        yield permuted_graph(n, hubs, leaf_sets, seed)
+
+
+class TestCensusBlocks:
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    def test_any_block_size(self, monkeypatch, block):
+        graphs = [SimpleGraph.from_edges(1, []), SimpleGraph.from_edges(7, []),
+                  SimpleGraph.from_edges(4, [(2, 3)]), *hub_graphs(),
+                  random_graph(2000, 0.7, 1.0, rng(5)), random_graph(2000, 1.0, 2.0, rng(6))]
+        want = [census(g).sizes for g in graphs]
+        monkeypatch.setattr(model, "BLOCK", block)
+        for g, sizes in zip(graphs, want):
+            assert np.array_equal(census(g).sizes, sizes)
+
+    def test_many_default_blocks(self, monkeypatch):
+        # about 2e5 edges: several blocks of the default size, against one
+        # block that holds them all, and against scipy
+        g = random_graph(100_000, 1.0, 2.0, rng(8))
+        assert g.edge_count > 2 * model.BLOCK
+        sizes = census(g).sizes
+        assert sizes.tolist() == scipy_sizes(g)
+        monkeypatch.setattr(model, "BLOCK", 1 << 62)
+        assert np.array_equal(census(g).sizes, sizes)
+
+
 class TestCensusVsScipy:
     @given(simple_graphs())
     @settings(max_examples=100, deadline=None)
@@ -126,6 +164,12 @@ class TestCensusVsScipy:
                 assert census(g).sizes.tolist() == scipy_sizes(g) == [n]
         # the path in label order: round one's hook chain is the whole path
         assert census(SimpleGraph.from_edges(n, zip(i[:-1], i[1:]))).sizes.tolist() == [n]
+
+    def test_hubs(self):
+        # a hub is hooked by many plain-scatter writes at once, within a block
+        # and across blocks; whichever wins, the sizes must be the same
+        for g in hub_graphs():
+            assert census(g).sizes.tolist() == scipy_sizes(g)
 
     def test_degenerate(self):
         for g in (SimpleGraph.from_edges(1, []), SimpleGraph.from_edges(7, [])):

@@ -291,6 +291,21 @@ class TestCompoundPoisson:
                 cpoisson_pmf(CompoundPoissonSpec(1e5, 1.0))
         assert traced_peak(refused) < 10 * 10 ** 6
 
+    def test_pmf_rows_stop_at_last_weight(self):
+        # Poisson(1) weights underflow from j = 178 on: 178 rows of 5,001
+        # degrees fit the budget, where 1,001 rows did not
+        pmf = cpoisson_pmf(CompoundPoissonSpec(1.0, 1.0), 5000)
+        assert len(pmf.probs) == 5001 and pmf.tail == 0.0
+        assert pmf.probs[0] == pytest.approx(cpoisson_gf(CompoundPoissonSpec(1.0, 1.0), 0.0),
+                                             rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2"])
+    def test_spec_rejects_bad_rate(self, name, bad):
+        rates = {"lambda1": 1.0, "lambda2": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            CompoundPoissonSpec(**rates)
+
     def test_pmf_zero_entry_equals_gf(self):
         spec = CompoundPoissonSpec(1.0, 1.0)
         pmf = cpoisson_pmf(spec, 40)
@@ -426,9 +441,9 @@ class TestDominance:
 
 
 class TestFrozenMixtures:
-    """SHA-256 of the probs and tail bytes of rig_pmf and rimg_pmf, frozen
-    with numpy 2.4 and scipy 1.17 on x86-64: a change to the shared mixture
-    block must keep the binomial mixtures bit for bit."""
+    """SHA-256 of the probs and tail bytes of rig_pmf, rimg_pmf and
+    cpoisson_pmf, frozen with numpy 2.4 and scipy 1.17 on x86-64: a change to
+    the shared mixture block must keep the mixtures bit for bit."""
 
     @staticmethod
     def digest(pmf: DegreePmf) -> str:
@@ -447,6 +462,25 @@ class TestFrozenMixtures:
         ((40, 20, 0.05, 60), "c35daad507ed9284")])
     def test_rimg_pmf(self, args, want):
         assert self.digest(rimg_pmf(*args)) == want
+
+    # frozen with every row up to the bulk of kmax / lambda2 computed: at 16
+    # of these 24 specs the rows past the last nonzero weight must add nothing
+    @pytest.mark.parametrize("args,want", [
+        ((0.05, 0.05, None), "a5e13af323561a27"), ((0.05, 0.05, 400), "0e2c5bcbec6a6f2b"),
+        ((0.05, 0.5, None), "30eea61079d2d914"), ((0.05, 0.5, 400), "c18593bf2356ff09"),
+        ((0.05, 3, None), "e477edcfe3901674"), ((0.05, 3, 400), "4ffee016c5309404"),
+        ((1, 0.05, None), "786585704edeea52"), ((1, 0.05, 400), "eed155e3f84f83d7"),
+        ((1, 0.5, None), "71339f0ed31bf96b"), ((1, 0.5, 400), "46fdb188b22ee486"),
+        ((1, 3, None), "e6fe26b8ce6df616"), ((1, 3, 400), "61c1ec2922d6bedf"),
+        ((5, 0.05, None), "89a9855ee76f5874"), ((5, 0.05, 400), "8ce14134a4ecb839"),
+        ((5, 0.5, None), "f5db8b1cc2b3b5b8"), ((5, 0.5, 400), "ed6e8466d5f6a96c"),
+        ((5, 3, None), "8939fb4859012703"), ((5, 3, 400), "8c56151263abc368"),
+        ((50, 0.05, None), "2fab3dfe2659c9ed"), ((50, 0.05, 400), "e4c44f6bd431f4c7"),
+        ((50, 0.5, None), "bcbbac77d97fc292"), ((50, 0.5, 400), "e308c450e367aa7c"),
+        ((50, 3, None), "e77efa9ed289aa4b"), ((50, 3, 400), "eaf99c30254b24b3")])
+    def test_cpoisson_pmf(self, args, want):
+        l1, l2, kmax = args
+        assert self.digest(cpoisson_pmf(CompoundPoissonSpec(l1, l2), kmax)) == want
 
 
 # ---------------------------------------------------------------------------

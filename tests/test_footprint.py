@@ -15,9 +15,9 @@ from riglab.experiments import run_trial, trial_stream
 from riglab.model import derive_params, project_with_excess, sample_bipartite
 
 # traced peak bytes of one run_trial per pair key (distinct edges + eta);
-# 37 at n = 2e5, beta = 1, gamma = 2, where temporaries with one entry per
-# key or per edge are freed as soon as they are used
-BYTES_PER_PAIR_KEY = 49
+# 33.8 at n = 2e5, beta = 1, gamma = 2, where the pair keys and the census's
+# crossing edges are filled block by block
+BYTES_PER_PAIR_KEY = 35
 
 
 def run_fresh(code: str) -> str:

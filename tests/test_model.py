@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riglab.model import (BipartiteGraph, _fill_distinct, derive_params,
+from riglab import model
+from riglab.model import (BipartiteGraph, _fill_distinct, _pair_keys, derive_params,
                           project_simple, project_with_excess, read_bipartite,
                           sample_aux_lists, sample_bipartite, write_bipartite)
 
@@ -227,6 +228,55 @@ class TestProjectionProperties:
         g, eta = project_with_excess(b)
         assert list(zip(g.u.tolist(), g.v.tolist())) == sorted(shared)
         assert eta == sum(c - 1 for c in shared.values())
+
+
+# ---------------------------------------------------------------------------
+# the block-by-block pair-key pass
+# ---------------------------------------------------------------------------
+
+# graphs whose auxiliaries straddle the block boundaries in every way
+BLOCK_GRAPHS = {
+    "no auxiliaries": lambda: BipartiteGraph.from_lists(5, []),
+    "no members": lambda: BipartiteGraph.from_lists(5, [[], [], []]),
+    "0 and 1 members": lambda: BipartiteGraph.from_lists(
+        6, [[2], [], [0, 3], [1], [], [], [4], [0, 5], []]),
+    "heavy": lambda: sample_aux_lists(40, 30, 0.6, rng(2)),
+    "sparse": lambda: sample_aux_lists(500, 800, 0.004, rng(3)),
+}
+
+
+def pair_keys_oracle(b):
+    """i*n + j for every pair i < j of every list, list by list."""
+    return [i * b.n + j for lst in b.lists()
+            for i, j in itertools.combinations(lst.tolist(), 2)]
+
+
+def assert_same_projection(got, want):
+    (g, eta), (g0, eta0) = got, want
+    assert np.array_equal(g.u, g0.u) and np.array_equal(g.v, g0.v) and eta == eta0
+
+
+class TestPairKeyBlocks:
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
+    def test_any_block_size(self, monkeypatch, name, block):
+        b = BLOCK_GRAPHS[name]()
+        keys, projection = _pair_keys(b), project_with_excess(b)
+        assert keys.dtype == np.int64 and keys.tolist() == pair_keys_oracle(b)
+        monkeypatch.setattr(model, "BLOCK", block)
+        assert np.array_equal(_pair_keys(b), keys)
+        assert_same_projection(project_with_excess(b), projection)
+
+    def test_many_default_blocks(self, monkeypatch):
+        # about 2e5 members and pair keys: several blocks of the default size,
+        # against one block that holds them all
+        b = sample_bipartite(derive_params(100_000, 1.0, 2.0), rng(4))
+        assert b.edge_count > 2 * model.BLOCK
+        keys, projection = _pair_keys(b), project_with_excess(b)
+        assert keys.size > 2 * model.BLOCK
+        monkeypatch.setattr(model, "BLOCK", 1 << 62)
+        assert np.array_equal(_pair_keys(b), keys)
+        assert_same_projection(project_with_excess(b), projection)
 
 
 # ---------------------------------------------------------------------------
