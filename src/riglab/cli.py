@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .degree import CompoundPoissonSpec, cpoisson_pmf, rig_pmf
 from .experiments import (DEFAULT_SMALL_THRESHOLD_COEFF, SweepConfig,
-                          records_from_csv, records_to_csv, rows_to_json,
-                          run_sweep, run_trial, summarize, summary_to_csv,
-                          trial_stream)
+                          empirical_degree_pmf, records_from_csv,
+                          records_to_csv, rows_to_json, run_sweep, run_trial,
+                          summarize, summary_to_csv, trial_stream)
 from .model import derive_params, sample_bipartite, write_bipartite
 from .theory import (DEFAULT_BRANCHING_CAP, CompoundPoissonOffspring,
                      RigDegreeOffspring, chernoff_lower, chernoff_upper,
@@ -66,7 +66,7 @@ def _echo_params(args: argparse.Namespace) -> None:
 
 
 def _require_alpha_one(args) -> None:
-    if getattr(args, "alpha", 1.0) != 1.0:
+    if args.alpha != 1.0:
         raise ValueError(f"{args.command} is defined for alpha=1 only "
                          f"(got alpha={args.alpha})")
 
@@ -91,11 +91,10 @@ def cmd_degree(args) -> int:
         _require_alpha_one(args)
         pmf = cpoisson_pmf(CompoundPoissonSpec(args.beta * args.gamma, args.gamma), args.kmax)
     elif args.source == "exact":
-        pmf = rig_pmf(params.m, params.n, params.p, mode="exact")
+        pmf = rig_pmf(params.m, params.n, params.p)
     else:
         _, rng = trial_stream(args.seed, 0, 0)
-        pmf = rig_pmf(params.m, params.n, params.p, mode="empirical",
-                      rng=rng, samples=args.samples)
+        pmf = empirical_degree_pmf(params.m, params.n, params.p, rng, args.samples)
     with _out_stream(args.out) as f:
         pmf.write_csv(f)
     return 0
@@ -198,13 +197,14 @@ def cmd_summarize(args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_model_flags(p, with_n=True):
+def _add_model_flags(p, alpha_help: str, with_n=True):
     if with_n:
         p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--beta", type=float, required=True,
                    help="auxiliary density: m = floor(beta*n)")
     p.add_argument("--gamma", type=float, required=True,
                    help="edge intensity: p = gamma*n^(-(1+alpha)/2)")
+    p.add_argument("--alpha", type=float, default=1.0, help=alpha_help)
 
 
 def build_parser() -> _Parser:
@@ -219,16 +219,14 @@ def build_parser() -> _Parser:
                                    formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
     p = add_parser("generate", help="sample a bipartite graph and dump it")
-    _add_model_flags(p)
-    p.add_argument("--alpha", type=float, default=1.0, help="exponent in p")
+    _add_model_flags(p, "exponent in p")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_generate)
 
     p = add_parser("degree", help="degree pmf as CSV (degree,probability rows "
                                   "plus a final tail row)")
-    _add_model_flags(p)
-    p.add_argument("--alpha", type=float, default=1.0, help="exponent in p")
+    _add_model_flags(p, "exponent in p")
     p.add_argument("--source", choices=["exact", "empirical", "limit"],
                    default="exact", help="exact binomial mixture, sampled "
                                          "graphs, or the compound Poisson limit")
@@ -241,16 +239,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_degree)
 
     p = add_parser("rho", help="extinction probability / giant component fraction")
-    _add_model_flags(p, with_n=False)
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="must be 1 for theory subcommands")
+    _add_model_flags(p, "must be 1 for theory subcommands", with_n=False)
     p.set_defaults(func=cmd_rho)
 
     p = add_parser("tails", help="optimized exponential tail bounds for "
                                  "i.i.d. degree sums")
-    _add_model_flags(p)
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="must be 1 for theory subcommands")
+    _add_model_flags(p, "must be 1 for theory subcommands")
     p.add_argument("--k", type=int, required=True, help="number of summands")
     p.add_argument("--delta", type=float, required=True,
                    help="relative deviation from the mean mu*k")
@@ -259,9 +253,7 @@ def build_parser() -> _Parser:
 
     p = add_parser("branching", help="Monte Carlo extinction frequency vs "
                                      "the fixed point")
-    _add_model_flags(p, with_n=False)
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="must be 1 for theory subcommands")
+    _add_model_flags(p, "must be 1 for theory subcommands", with_n=False)
     p.add_argument("--offspring", choices=["cpoisson", "rig"], default="cpoisson",
                    help="limit law or finite-n degree law")
     p.add_argument("--n", type=int, default=None, help="vertex count (rig offspring)")
@@ -273,8 +265,7 @@ def build_parser() -> _Parser:
 
     p = add_parser("trial", help="single trial: sample, project, census; "
                                  "emits one CSV record")
-    _add_model_flags(p)
-    p.add_argument("--alpha", type=float, default=1.0, help="exponent in p")
+    _add_model_flags(p, "exponent in p")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--threshold-coeff", type=float,
                    default=DEFAULT_SMALL_THRESHOLD_COEFF,

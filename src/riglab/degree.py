@@ -14,8 +14,6 @@ from typing import IO
 
 import numpy as np
 
-from .model import check_trial_size, project_simple, sample_aux_lists
-
 # scipy.special is imported inside the functions that use it: with the scipy
 # core it loads, it would add about 23 MiB to `import riglab`, and no trial,
 # sweep or summary needs it.
@@ -208,33 +206,16 @@ def rig_gf(m: int, n: int, p: float, z: float) -> float:
                  @ np.exp(xlog1py(n - 1, -_cover_prob(p, rows) * (1.0 - z))))
 
 
-def rig_pmf(m: int, n: int, p: float, mode: str = "exact",
-            rng: np.random.Generator | None = None,
-            samples: int | None = None) -> DegreePmf:
-    """Degree pmf of the simple projection, exact or sampled.
+def rig_pmf(m: int, n: int, p: float) -> DegreePmf:
+    """Exact degree pmf of the simple projection.
 
-    Exact mode is the mixture P(D=k) = sum_N Bin(m,p)(N) Bin(n-1, 1-(1-p)^N)(k),
-    whose terms are all non-negative, up to the bulk of its last row, which
-    dominates the others; it returns n entries and refuses a mixture block
-    larger than EXACT_PMF_BUDGET.  Empirical mode needs rng and a vertex
-    sample count, counts every vertex of ceil(samples/n) sampled graphs, one
-    graph at a time, and refuses, before sampling, a graph over either budget
-    of check_trial_size.
+    The mixture P(D=k) = sum_N Bin(m,p)(N) Bin(n-1, 1-(1-p)^N)(k), whose terms
+    are all non-negative, up to the bulk of its last row, which dominates the
+    others; it returns n entries and refuses a mixture block larger than
+    EXACT_PMF_BUDGET.  experiments.empirical_degree_pmf samples the same law
+    from whole graphs.
     """
-    if mode == "exact":
-        try:
-            return _binom_mixture(m, p, lambda N: (n - 1, _cover_prob(p, N)), n)
-        except ValueError as exc:  # the budget refusal
-            raise ValueError(f"{exc}; use mode='empirical'") from None
-    if mode == "empirical":
-        if rng is None or samples is None or samples < 1:
-            raise ValueError("empirical mode requires rng and samples >= 1")
-        check_trial_size(n, m, p)
-        counts = np.trim_zeros(sum(
-            np.bincount(project_simple(sample_aux_lists(n, m, p, rng)).degrees(), minlength=n)
-            for _ in range(-(-samples // n))), "b")
-        return DegreePmf(counts / counts.sum())
-    raise ValueError(f"unknown mode {mode!r}")
+    return _binom_mixture(m, p, lambda N: (n - 1, _cover_prob(p, N)), n)
 
 
 def rig_moments(m: int, n: int, p: float) -> tuple[float, float]:

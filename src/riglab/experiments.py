@@ -20,8 +20,10 @@ from typing import IO, Iterable
 import numpy as np
 
 from .components import census, small_fraction
+from .degree import DegreePmf
 from .model import (ModelParams, check_trial_size, derive_params, is_int,
-                    project_with_excess, sample_bipartite)
+                    project_simple, project_with_excess, sample_aux_lists,
+                    sample_bipartite)
 from .theory import solve_extinction
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "trial_stream",
     "run_trial",
     "run_sweep",
+    "empirical_degree_pmf",
     "summarize",
     "records_to_csv",
     "records_from_csv",
@@ -260,6 +263,21 @@ def run_sweep(config: SweepConfig, workers: int = 1, live_timing: bool = False,
     return SweepResult(records=tuple(records), failures=tuple(failures))
 
 
+def empirical_degree_pmf(m: int, n: int, p: float, rng: np.random.Generator,
+                         samples: int) -> DegreePmf:
+    """Degree pmf of the simple projection, sampled from whole graphs: counts
+    every vertex of ceil(samples/n) sampled graphs, one graph at a time, and
+    trims trailing zeros.  Refuses samples < 1 and, before sampling, a graph
+    over either budget of check_trial_size."""
+    if samples < 1:
+        raise ValueError(f"empirical degree pmf needs samples >= 1, got {samples}")
+    check_trial_size(n, m, p)
+    counts = np.trim_zeros(sum(
+        np.bincount(project_simple(sample_aux_lists(n, m, p, rng)).degrees(), minlength=n)
+        for _ in range(-(-samples // n))), "b")
+    return DegreePmf(counts / counts.sum())
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
@@ -286,11 +304,6 @@ class SummaryRow:
     predicted_giant_frac: float
 
 
-def _mean_sd(xs: np.ndarray) -> tuple[float, float]:
-    sd = float(xs.std(ddof=1)) if len(xs) > 1 else 0.0
-    return float(xs.mean()), sd
-
-
 def summarize(records: Iterable[ExperimentRecord]) -> list[SummaryRow]:
     """Aggregate records per grid point; predicted giant fraction is 1 - rho
     (zero when mu <= 1)."""
@@ -303,23 +316,18 @@ def summarize(records: Iterable[ExperimentRecord]) -> list[SummaryRow]:
     rows = []
     for (n, beta, gamma), rs in groups.items():
         logn = math.log(n) if n > 1 else 1.0
-        largest = np.array([r.largest / r.n for r in rs])
-        second = np.array([r.second / logn for r in rs])
-        small = np.array([r.small_fraction for r in rs])
-        eta = np.array([float(r.eta) for r in rs])
-        dmean = np.array([r.degree_mean for r in rs])
+        stats = {}
+        for name, values in (("largest_frac", [r.largest / r.n for r in rs]),
+                             ("second_over_logn", [r.second / logn for r in rs]),
+                             ("small_fraction", [r.small_fraction for r in rs]),
+                             ("eta", [float(r.eta) for r in rs])):
+            xs = np.array(values)
+            stats[f"{name}_mean"] = float(xs.mean())
+            stats[f"{name}_sd"] = float(xs.std(ddof=1)) if len(xs) > 1 else 0.0
         fp = solve_extinction(beta, gamma)
-        lf_m, lf_s = _mean_sd(largest)
-        se_m, se_s = _mean_sd(second)
-        sm_m, sm_s = _mean_sd(small)
-        et_m, et_s = _mean_sd(eta)
         rows.append(SummaryRow(
-            n=n, beta=beta, gamma=gamma, mu=rs[0].mu, replicates=len(rs),
-            largest_frac_mean=lf_m, largest_frac_sd=lf_s,
-            second_over_logn_mean=se_m, second_over_logn_sd=se_s,
-            small_fraction_mean=sm_m, small_fraction_sd=sm_s,
-            eta_mean=et_m, eta_sd=et_s,
-            degree_mean_mean=float(dmean.mean()),
+            n=n, beta=beta, gamma=gamma, mu=rs[0].mu, replicates=len(rs), **stats,
+            degree_mean_mean=float(np.array([r.degree_mean for r in rs]).mean()),
             rho=fp.rho, predicted_giant_frac=1.0 - fp.rho,
         ))
     return rows
@@ -350,9 +358,20 @@ def records_to_csv(records: Iterable[ExperimentRecord], f: IO[str]) -> None:
     _write_csv(ExperimentRecord, records, f)
 
 
+def _check_record(r: ExperimentRecord) -> ExperimentRecord:
+    """r, unless an observable is one no trial produces.  gamma is not
+    checked: at alpha > 1 a trial may have gamma > n."""
+    for name, lo, hi in (("n", 1, math.inf), ("largest", 1, r.n), ("second", 0, r.largest),
+                         ("eta", 0, math.inf), ("small_fraction", 0.0, 1.0)):
+        if not lo <= getattr(r, name) <= hi:  # also rejects NaN
+            raise ValueError(f"{name} must be in [{lo}, {hi}], got {getattr(r, name)}")
+    return r
+
+
 def records_from_csv(f: IO[str]) -> list[ExperimentRecord]:
     """Parse a records CSV; raises ValueError naming the line of a row with
-    the wrong field count or a value that does not parse."""
+    the wrong field count, a value that does not parse or an observable out
+    of range."""
     header = f.readline().strip()
     if header != ",".join(RECORD_FIELDS):
         raise ValueError(f"unexpected CSV header: {header!r}")
@@ -366,8 +385,8 @@ def records_from_csv(f: IO[str]) -> list[ExperimentRecord]:
             raise ValueError(f"records CSV line {lineno}: expected "
                              f"{len(RECORD_FIELDS)} fields, got {len(vals)}")
         try:
-            out.append(ExperimentRecord(*(parse(v) for parse, v
-                                          in zip(_RECORD_PARSERS, vals))))
+            out.append(_check_record(ExperimentRecord(
+                *(parse(v) for parse, v in zip(_RECORD_PARSERS, vals)))))
         except ValueError as exc:
             raise ValueError(f"records CSV line {lineno}: {exc}") from None
     return out

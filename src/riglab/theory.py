@@ -43,20 +43,23 @@ class FixedPointResult:
 
 
 _MAX_NEWTON_STEPS = 100_000  # cap on solve_extinction's steps, which stop far sooner
+_EXTINCTION_TOL = 1e-13  # solve_extinction's step size and certified error for converged
+_BELOW_ONE = math.nextafter(1.0, 0.0)  # 1 - 2^-53, the largest double below 1
 
 
-def solve_extinction(beta: float, gamma: float, tol: float = 1e-13) -> FixedPointResult:
+def solve_extinction(beta: float, gamma: float) -> FixedPointResult:
     """Solve rho = g(rho) by Newton's method on h(x) = g(x) - x from x = 0.
 
     For mu <= 1 the smallest root is exactly 1 (g > identity below 1).  For
     mu > 1, h is convex with h(0) > 0 and h' < 0 below the root, so the
     Newton iterates rise monotonically to it, quadratically once close; they
-    stop once a step is below `tol` or h runs out of precision, and always
-    below 1.  A search outward from the last iterate, in doubling steps, then
-    brackets the root with signs of h that exceed its rounding error.  rho is
-    the last iterate, kept inside the bracket, so rho < 1 whenever mu > 1;
-    converged means the certified error is at most `tol`.  Raises ValueError
-    if beta or gamma is NaN, infinite or negative.
+    stop once a step is below _EXTINCTION_TOL or h runs out of precision, and
+    a step that reaches 1 lands on 1 - 2^-53, so a root within an ulp of 1 is
+    still reached.  A search outward from the last iterate, in doubling steps,
+    then brackets the root with signs of h that exceed its rounding error.
+    rho is the last iterate, kept inside the bracket, so rho < 1 whenever
+    mu > 1; converged means the certified error is at most _EXTINCTION_TOL.
+    Raises ValueError if beta or gamma is NaN, infinite or negative.
     """
     if not (math.isfinite(beta) and math.isfinite(gamma)):
         raise ValueError(f"beta and gamma must be finite, got {beta}, {gamma}")
@@ -77,18 +80,15 @@ def solve_extinction(beta: float, gamma: float, tol: float = 1e-13) -> FixedPoin
         a = math.expm1(l1 * math.expm1(l2 * (x - 1.0)))
         return a + (1.0 - x), 16.0 * math.ulp(1.0) * (abs(a) + 1.0 - x)
 
-    def newton_step(x: float) -> float:
-        t = math.expm1(l2 * (x - 1.0))
-        dg = l1 * l2 * (1.0 + t) * math.exp(l1 * t)  # g'(x) < 1 below the root
-        return (math.expm1(l1 * t) + (1.0 - x)) / (1.0 - dg)
-
     x = 0.0
     for iterations in range(1, _MAX_NEWTON_STEPS + 1):
-        nx = x + newton_step(x)
-        if not x < nx < 1.0:  # h is below its precision here
+        t = math.expm1(l2 * (x - 1.0))
+        dg = l1 * l2 * (1.0 + t) * math.exp(l1 * t)  # g'(x) < 1 below the root
+        nx = min(x + h(x)[0] / (1.0 - dg), _BELOW_ONE)
+        if not x < nx:  # h is below its precision here
             break
         step, x = nx - x, nx
-        if step < tol:
+        if step < _EXTINCTION_TOL:
             break
 
     # h(0) = g(0) > 0 and h(1) = 0 hold exactly, so both searches stop.
@@ -109,7 +109,7 @@ def solve_extinction(beta: float, gamma: float, tol: float = 1e-13) -> FixedPoin
     rho = min(x, hi)
     bound = max(rho - lo, hi - rho)
     return FixedPointResult(rho=rho, residual=abs(h(rho)[0]), iterations=iterations,
-                            regime=regime, mu=mu, converged=bound <= tol,
+                            regime=regime, mu=mu, converged=bound <= _EXTINCTION_TOL,
                             bracket=(lo, hi), error_bound=bound)
 
 
@@ -184,6 +184,7 @@ def extinction_mc(offspring, reps: int, cap: int,
 # ---------------------------------------------------------------------------
 
 S_MAX = 5.0  # the exponent objective grows without bound well before this
+_GOLDEN_TOL = 1e-10  # width at which _grid_golden_min stops refining
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ class TailBound:
     vacuous: bool
 
 
-def _grid_golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
+def _grid_golden_min(f, lo: float, hi: float) -> tuple[float, float]:
     """Coarse grid to bracket the minimum, then golden-section refinement.
 
     The objectives here are convex (cumulant generating functions minus a
@@ -220,7 +221,7 @@ def _grid_golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

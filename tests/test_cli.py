@@ -111,6 +111,14 @@ class TestRho:
         assert float(vals["rho"]) == pytest.approx(0.99990000667, abs=1e-11)
         assert 0.0 < float(vals["error_bound"]) <= 1e-13
 
+    def test_root_within_an_ulp_of_one(self, capsys):
+        # beta*gamma = 1e-140: the root 1 - 1e-140 rounds to 1
+        code, out, _ = run_cli(capsys, "rho", "--beta", "1e-300", "--gamma", "1e160")
+        assert code == 0
+        vals = dict(line.split() for line in out.splitlines())
+        assert float(vals["rho"]) == 1.0 - 2.0 ** -53
+        assert float(vals["error_bound"]) == 2.0 ** -53
+
     @pytest.mark.parametrize("beta,gamma", [("1", "nan"), ("inf", "1"),
                                             ("nan", "1"), ("1", "-inf")])
     def test_non_finite_exits_one(self, capsys, beta, gamma):
@@ -438,7 +446,11 @@ class TestTrialSweepSummarize:
         assert f"{len(records)} records, {lost} failures" in err
 
     @pytest.mark.parametrize("row", ["1000,1.0",
-                                     "100,1.0,2.0,4.0,0,seven,60,5,0.35,1,3.9,"])
+                                     "100,1.0,2.0,4.0,0,seven,60,5,0.35,1,3.9,",
+                                     "0,1.0,2.0,4.0,0,7,1,0,0.35,1,3.9,",
+                                     "-5,1.0,2.0,4.0,0,7,1,0,0.35,1,3.9,",
+                                     "100,1.0,2.0,4.0,0,7,500,5,0.35,1,3.9,",
+                                     "100,1.0,2.0,4.0,0,7,60,5,nan,1,3.9,"])
     def test_summarize_malformed_exits_one(self, capsys, tmp_path, row):
         path = tmp_path / "r.csv"
         path.write_text(",".join(experiments.RECORD_FIELDS) + "\n" + row + "\n")

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import io
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riglab import degree
 from riglab.degree import (EXACT_PMF_BUDGET, CompoundPoissonSpec, DegreePmf,
                            cpoisson_gf, cpoisson_pmf, cpoisson_sample,
                            rig_degree_sample, rig_gf, rig_moments, rig_pmf,
                            rimg_log_gf, rimg_pmf, rimg_sample, tv_distance)
+from riglab.experiments import empirical_degree_pmf
 from riglab.model import derive_params, project_simple, sample_aux_lists
 
 import oracle
@@ -159,16 +163,14 @@ class TestRigPmf:
             rig_pmf(params.m, params.n, params.p)
 
     def test_empirical_requires_rng(self):
-        with pytest.raises(ValueError):
-            rig_pmf(10, 10, 0.1, mode="empirical")
         with pytest.raises(ValueError, match="samples >= 1"):
-            rig_pmf(10, 10, 0.1, mode="empirical", rng=rng(), samples=0)
+            empirical_degree_pmf(10, 10, 0.1, rng(), 0)
 
     def test_empirical_matches_exact(self):
         # graph-sampled vertex degrees vs the exact law
         m = n = 50
         p = 1.0 / n
-        emp = rig_pmf(m, n, p, mode="empirical", rng=rng(3), samples=100_000)
+        emp = empirical_degree_pmf(m, n, p, rng(3), 100_000)
         assert tv_distance(emp, rig_pmf(m, n, p)) < 0.02
 
     def test_empirical_peak_is_one_graph(self):
@@ -176,10 +178,30 @@ class TestRigPmf:
         # most one graph's worth to the traced peak
         params = derive_params(100, 1.0, 1.0)
         m, n, p = params.m, params.n, params.p
-        run = lambda samples: rig_pmf(m, n, p, mode="empirical", rng=rng(2), samples=samples)
+        run = lambda samples: empirical_degree_pmf(m, n, p, rng(2), samples)
         assert run(1000).probs[-1] > 0  # trimmed to the largest degree seen
         one_graph = traced_peak(lambda: project_simple(sample_aux_lists(n, m, p, rng(1))).degrees())
         assert traced_peak(lambda: run(200_000)) <= traced_peak(lambda: run(20_000)) + one_graph
+
+    # SHA-256 of probs and tail, frozen from rig_pmf(mode="empirical") before
+    # it moved to experiments: the same draws in the same order, the same trim
+    @pytest.mark.parametrize("point,seed,samples,want", [
+        ((100, 1.0, 1.0, 1.0), 5, 1000, "4a9d73563a2b9a90"),
+        ((300, 0.5, 2.0, 1.0), 1, 5000, "5e13d378ea3177fc"),
+        ((200, 1.0, 1.0, 0.0), 3, 2000, "b31bdc7416897a74")])
+    def test_empirical_frozen(self, point, seed, samples, want):
+        params = derive_params(*point)
+        pmf = empirical_degree_pmf(params.m, params.n, params.p, rng(seed), samples)
+        assert TestFrozenMixtures.digest(pmf) == want
+
+    def test_degree_does_not_import_the_sampler(self):
+        # the degree laws are closed forms; graph sampling lives in model.py
+        imported = []
+        for node in ast.walk(ast.parse(Path(degree.__file__).read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported += [getattr(node, "module", None) or ""]
+                imported += [alias.name for alias in node.names]
+        assert not [name for name in imported if name.split(".")[-1] == "model"]
 
     def test_marginal_sampler_matches_exact(self):
         m = n = 80

@@ -357,6 +357,36 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"line {line}"):
             records_from_csv(io.StringIO(text))
 
+    # each value, put into an otherwise valid record after a valid row, is
+    # refused on line 3
+    @pytest.mark.parametrize("field,values", [
+        ("n", ["0", "-5"]),
+        ("largest", ["0", "101", "500"]),
+        ("second", ["-1", "61"]),
+        ("eta", ["-1"]),
+        ("small_fraction", ["-0.1", "1.5", "nan", "inf"])])
+    def test_impossible_record_names_line(self, field, values):
+        good = dict(n="100", beta="1.0", gamma="2.0", mu="4.0", replicate="0", seed="7",
+                    largest="60", second="5", small_fraction="0.35", eta="1",
+                    degree_mean="3.9", elapsed_ms="")
+        header = ",".join(experiments.RECORD_FIELDS) + "\n"
+        row = lambda **kw: ",".join({**good, **kw}[f] for f in experiments.RECORD_FIELDS) + "\n"
+        assert len(records_from_csv(io.StringIO(header + row()))) == 1
+        for value in values:
+            with pytest.raises(ValueError, match=f"line 3: {field} must be"):
+                records_from_csv(io.StringIO(header + row() + row(**{field: value})))
+
+    def test_record_edges_accepted(self):
+        # the extremes a trial can produce: a single vertex, a giant that is
+        # the whole graph, second == largest, and small_fraction 0 and 1;
+        # gamma > n is a trial at alpha > 1, so it is not refused
+        header = ",".join(experiments.RECORD_FIELDS) + "\n"
+        rows = ["1,1.0,1.0,1.0,0,7,1,0,1.0,0,0.0,\n",
+                "100,1.0,2.0,4.0,0,7,100,0,0.0,0,3.9,\n",
+                "100,1.0,2.0,4.0,0,7,3,3,1.0,0,1.0,\n",
+                "10,1.0,50.0,2500.0,0,7,10,0,0.0,3,9.0,\n"]
+        assert len(records_from_csv(io.StringIO(header + "".join(rows)))) == 4
+
     def test_json_records(self):
         result = run_sweep(small_config(replicates=1))
         buf = io.StringIO()

@@ -140,6 +140,23 @@ class TestSolveExtinction:
         assert 0 < y < 1
         assert err <= r.error_bound <= 1e-13
 
+    # mu = 10 with beta*gamma from 1e-8 down to 1e-160, where beta = 1e-321 is
+    # subnormal; below about 2e-162 no double beta gives mu > 1.  From 1e-17
+    # on the root 1 - y, y ~ beta*gamma, rounds to 1 and Newton's first step
+    # reaches it, so the iterate must stop at 1 - 2^-53, not fall back to 0.
+    @pytest.mark.parametrize("bg", [1e-8, 1e-12, 1e-16, 1e-17, 1e-18, 1e-20,
+                                    1e-40, 1e-100, 1e-140, 1e-160])
+    def test_root_within_an_ulp_of_one(self, bg):
+        mpmath = pytest.importorskip("mpmath")
+        gamma = 10.0 / bg
+        r = solve_extinction(bg / gamma, gamma)
+        assert r.mu > 9.9 and r.rho < 1.0
+        assert r.converged and r.error_bound <= 2.3e-16
+        with mpmath.workdps(400):
+            l1, l2 = mpmath.mpf(bg / gamma) * gamma, mpmath.mpf(gamma)
+            y = mpmath.findroot(lambda t: t + mpmath.expm1(l1 * mpmath.expm1(-l2 * t)), l1)
+            assert abs(mpmath.mpf(r.rho) - (1 - y)) <= r.error_bound
+
     @given(st.floats(0.1, 3.0), st.floats(0.1, 2.5))
     @settings(max_examples=60, deadline=None)
     def test_residual_and_range(self, beta, gamma):
