@@ -359,12 +359,23 @@ def records_to_csv(records: Iterable[ExperimentRecord], f: IO[str]) -> None:
 
 
 def _check_record(r: ExperimentRecord) -> ExperimentRecord:
-    """r, unless an observable is one no trial produces.  gamma is not
+    """r, unless a field holds a value no trial writes.  gamma is not
     checked: at alpha > 1 a trial may have gamma > n."""
-    for name, lo, hi in (("n", 1, math.inf), ("largest", 1, r.n), ("second", 0, r.largest),
-                         ("eta", 0, math.inf), ("small_fraction", 0.0, 1.0)):
-        if not lo <= getattr(r, name) <= hi:  # also rejects NaN
-            raise ValueError(f"{name} must be in [{lo}, {hi}], got {getattr(r, name)}")
+    for name, lo, hi in (("n", 1, math.inf), ("replicate", 0, math.inf),
+                         ("seed", 0, 2 ** 64 - 1), ("largest", 1, r.n),
+                         ("second", 0, r.largest), ("eta", 0, math.inf),
+                         ("small_fraction", 0.0, 1.0), ("degree_mean", 0.0, r.n - 1),
+                         ("elapsed_ms", 0.0, math.inf)):
+        value = getattr(r, name)
+        if value is not None and not lo <= value <= hi:  # also rejects NaN
+            raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+    try:  # run_trial writes exactly this product; no trial's gamma ** 2 overflows
+        mu_ok = r.mu == r.beta * r.gamma ** 2
+    except OverflowError:
+        mu_ok = False
+    if not mu_ok:
+        raise ValueError(f"mu must be beta * gamma ** 2, got {r.mu!r} "
+                         f"at beta={r.beta!r}, gamma={r.gamma!r}")
     return r
 
 

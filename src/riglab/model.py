@@ -104,12 +104,9 @@ class BipartiteGraph:
     def edge_count(self) -> int:
         return int(self.offsets[-1])
 
-    def aux_list(self, k: int) -> np.ndarray:
-        return self.members[self.offsets[k]:self.offsets[k + 1]]
-
     def lists(self) -> Iterator[np.ndarray]:
         for k in range(self.m):
-            yield self.aux_list(k)
+            yield self.members[self.offsets[k]:self.offsets[k + 1]]
 
     def aux_degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
@@ -205,12 +202,12 @@ class SimpleGraph:
 # ---------------------------------------------------------------------------
 
 def _fill_distinct(rng: np.random.Generator, n: int, d: int, first: np.ndarray) -> np.ndarray:
-    """Complete a uniform distinct d-subset of range(n), absorbing `first` draws.
+    """Complete a uniform distinct d-subset of range(n) from `first`, d draws.
 
-    Treats `first` as the head of an i.i.d. uniform stream and keeps drawing
-    until d distinct values have appeared; the first d distinct values of such
-    a stream form a uniform random d-subset.  A dict keeps them in order of
-    first appearance.
+    Keeps the distinct values of `first` and draws batches until d are held;
+    the first d distinct values of an i.i.d. uniform stream form a uniform
+    random d-subset.  So the result and the draws depend on the set of
+    `first` and on the stream, not on the order of `first`.
     """
     seen = dict.fromkeys(first.tolist())
     while len(seen) < d:
@@ -218,10 +215,10 @@ def _fill_distinct(rng: np.random.Generator, n: int, d: int, first: np.ndarray) 
     return np.sort(np.array(list(seen)[:d], dtype=np.int64))
 
 
-# The sampler's traced peak is about 25 bytes per auxiliary and 16 per member
-# (tracemalloc at n = 10^6 and m = 10^6, with 2*10^6 and 4*10^6 members; a
-# dense segment in repair adds up to 13 more per member), so this bound on
-# m + 1 + m*n*p keeps one bipartite graph near 1.9 GB.
+# The sampler's traced peak is about 17 bytes per auxiliary and 16 per member
+# (tracemalloc at n = 10^6: m = 10^6 and 2*10^6, with 2*10^6 and 4*10^6
+# members; a dense segment in repair adds up to 13 more per member), so this
+# bound on m + 1 + m*n*p keeps one bipartite graph near 1.3 GB.
 BIPARTITE_BUDGET = 75_000_000
 
 
@@ -248,44 +245,36 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> Bipa
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
     _check_bipartite_size(n, m, p)
-    if m == 0 or p == 0.0:
-        return BipartiteGraph(n=n, offsets=np.zeros(m + 1, dtype=np.int64),
-                              members=np.empty(0, dtype=np.int64))
+    # m = 0, p = 0 and size-0 draws below take nothing from rng
     degrees = rng.binomial(n, p, size=m).astype(np.int64, copy=False)
     offsets = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
 
     heavy = 2 * degrees >= n
     any_heavy = bool(heavy.any())
-    if any_heavy:
-        light_deg = np.where(heavy, 0, degrees)
-        light_off = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(light_deg, out=light_off[1:])
-    else:
-        light_deg, light_off = degrees, offsets
-    flat = rng.integers(0, n, size=int(light_off[-1]))  # size 0 draws nothing
-    # segment-major keys k*n + x: one global sort sorts every segment
-    keys = np.repeat(np.arange(m, dtype=np.int64), light_deg)
-    keys *= n
-    keys += flat
+    # segment-major keys k*n + x over the light segments: one global sort
+    # sorts every segment, and a duplicate key names its segment as key // n.
+    # The draws become the keys: adding them into base raised peak RSS 14 %.
+    base = np.repeat(np.arange(m, dtype=np.int64),
+                     np.where(heavy, 0, degrees) if any_heavy else degrees)
+    base *= n
+    keys = rng.integers(0, n, size=base.size)
+    keys += base
+    del base
     keys.sort()
-    # equal keys lie in one segment: the position of a duplicate names it
-    dup = np.flatnonzero(keys[1:] == keys[:-1])
-    dirty = np.unique(np.searchsorted(light_off, dup, side="right") - 1)
+    dirty = np.unique(keys[1:][keys[1:] == keys[:-1]] // n)
     np.remainder(keys, n, out=keys)
+    members = keys
     if any_heavy:
         members = np.empty(int(offsets[-1]), dtype=np.int64)
         members[np.repeat(~heavy, degrees)] = keys
-    else:
-        members = keys
-    # the repairs draw from rng in ascending segment order, then the heavy
-    # segments do; this order fixes the random stream
+    # repairs draw in ascending segment order, then the heavy segments do:
+    # this order fixes the stream.  A repair needs only the set of its draws.
     for k in dirty:
-        members[offsets[k]:offsets[k + 1]] = _fill_distinct(
-            rng, n, int(degrees[k]), flat[light_off[k]:light_off[k + 1]])
+        seg = members[offsets[k]:offsets[k + 1]]
+        seg[:] = _fill_distinct(rng, n, int(degrees[k]), seg)
     for k in np.flatnonzero(heavy):
-        d = int(degrees[k])
-        members[offsets[k]:offsets[k + 1]] = np.sort(rng.permutation(n)[:d])
+        members[offsets[k]:offsets[k + 1]] = np.sort(rng.permutation(n)[:degrees[k]])
     return BipartiteGraph(n=n, offsets=offsets, members=members)
 
 
@@ -298,8 +287,9 @@ def sample_bipartite(params: ModelParams, rng: np.random.Generator) -> Bipartite
 # projections
 # ---------------------------------------------------------------------------
 
-# A trial's traced peak is about 31 bytes per pair key (31.0 and 30.7 at
-# n = 10^6, gamma = 2 and 4), so this budget keeps one trial near 1.6 GB.
+# A trial's traced peak is about 31 bytes per pair key (n = 10^6, gamma = 2
+# and 4) and 17-19 per vertex (m = 1, n = 10^6 and 4*10^6), so this budget on
+# vertices plus pair keys keeps one trial near 1.6 GB.
 PAIR_KEY_BUDGET = 50_000_000
 
 # members, pair keys or edges per block of a pass that fills or updates an
@@ -309,14 +299,14 @@ BLOCK = 1 << 16
 
 def check_trial_size(n: int, m: int, p: float) -> None:
     """Raise ValueError when one graph of (n, m, p) would pass either budget:
-    BIPARTITE_BUDGET for the sample, or PAIR_KEY_BUDGET for the expected
-    pair-key count m*C(n,2)*p^2 of its projection."""
+    BIPARTITE_BUDGET for the sample, or PAIR_KEY_BUDGET for the n vertices
+    plus the expected pair-key count m*C(n,2)*p^2 of its projection."""
     _check_bipartite_size(n, m, p)
     expected = m * (n * (n - 1) / 2.0) * p ** 2
-    if expected > PAIR_KEY_BUDGET:
+    if n + expected > PAIR_KEY_BUDGET:
         raise ValueError(
-            f"expected {expected:.3g} pair keys (n={n}, m={m}, p={p!r}) exceeds "
-            f"the budget of {PAIR_KEY_BUDGET:.3g}")
+            f"expected {expected:.3g} pair keys plus n={n} vertices (m={m}, p={p!r}) "
+            f"exceeds the budget of {PAIR_KEY_BUDGET:.3g}")
 
 
 def _blocks(size: int) -> Iterator[slice]:

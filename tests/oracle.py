@@ -145,6 +145,36 @@ def fill_distinct_loop(rng: np.random.Generator, n: int, d: int,
     return np.sort(np.asarray(out, dtype=np.int64))
 
 
+def sample_aux_lists_loop(n: int, m: int, p: float,
+                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, members) of model.sample_aux_lists, auxiliary by auxiliary,
+    making the same generator calls in its documented order: m binomial
+    degrees; one bulk draw of every light (2d < n) list, in auxiliary order;
+    then, in ascending auxiliary order, each light list whose draws hold a
+    duplicate completed by fill_distinct_loop from those draws; then each
+    heavy list as the first d entries of a permutation of range(n)."""
+    degrees = rng.binomial(n, p, size=m).tolist()
+    flat = rng.integers(0, n, size=sum(d for d in degrees if 2 * d < n)).tolist()
+    lists: list[list[int]] = []
+    pos = 0
+    for d in degrees:
+        if 2 * d < n:
+            lists.append(flat[pos:pos + d])
+            pos += d
+        else:
+            lists.append([])
+    for k, d in enumerate(degrees):
+        if 2 * d < n and len(set(lists[k])) < d:
+            lists[k] = fill_distinct_loop(rng, n, d, np.asarray(lists[k])).tolist()
+    for k, d in enumerate(degrees):
+        if 2 * d >= n:
+            lists[k] = rng.permutation(n)[:d].tolist()
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(degrees)
+    members = np.array([x for lst in lists for x in sorted(lst)], dtype=np.int64)
+    return offsets, members
+
+
 def cpoisson_log_pmf(lambda1: float, lambda2: float, kmax: int,
                      jmax: int = 6000) -> np.ndarray:
     """log P(X = k), k = 0..kmax, for X a Poisson(lambda1) sum of i.i.d.

@@ -50,6 +50,8 @@ MALFORMED_CONFIGS = [
     ({"grid": [], "replicates": 1, "master_seed": 1}, "'grid'"),
     ({"grid": [[1000000, 10000, 0.01]], "replicates": 1, "master_seed": 1},
      "1.01e+10 bipartite offsets and members"),
+    ({"grid": [[10000000000, 1e-10, 1.0]], "replicates": 1, "master_seed": 1},
+     "n=10000000000 vertices"),
 ]
 
 
@@ -369,7 +371,11 @@ class TestTrialSweepSummarize:
          ("generate", "--n", "1000000", "--beta", "1", "--gamma", "100000")),
         ("5e+08 pair keys", ("degree", "--n", "100000", "--beta", "1",
                              "--gamma", "100", "--source", "empirical")),
-    ], ids=["trial", "generate", "degree"])
+        ("n=10000000000 vertices",
+         ("trial", "--n", "10000000000", "--beta", "1e-10", "--gamma", "1")),
+        ("n=60000000 vertices", ("degree", "--n", "60000000", "--beta", "1e-7",
+                                 "--gamma", "1", "--source", "empirical")),
+    ], ids=["trial", "generate", "degree", "trial-vertices", "degree-vertices"])
     def test_oversized_exits_one_before_sampling(self, capsys, monkeypatch,
                                                  size, argv):
         class NoDraws:
@@ -450,7 +456,10 @@ class TestTrialSweepSummarize:
                                      "0,1.0,2.0,4.0,0,7,1,0,0.35,1,3.9,",
                                      "-5,1.0,2.0,4.0,0,7,1,0,0.35,1,3.9,",
                                      "100,1.0,2.0,4.0,0,7,500,5,0.35,1,3.9,",
-                                     "100,1.0,2.0,4.0,0,7,60,5,nan,1,3.9,"])
+                                     "100,1.0,2.0,4.0,0,7,60,5,nan,1,3.9,",
+                                     "100,1.0,2.0,0.5,0,7,60,5,0.35,1,-3.9,",
+                                     "100,1.0,2.0,4.0,-3,-1,60,5,0.35,1,3.9,-5",
+                                     "100,1.0,1e200,4.0,0,7,60,5,0.35,1,3.9,"])
     def test_summarize_malformed_exits_one(self, capsys, tmp_path, row):
         path = tmp_path / "r.csv"
         path.write_text(",".join(experiments.RECORD_FIELDS) + "\n" + row + "\n")

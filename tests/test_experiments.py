@@ -202,13 +202,33 @@ class TestPairBudget:
                       small_threshold_coeff=coeff)
 
     def test_estimate_is_m_choose2_p2(self, monkeypatch):
-        # m=100, C(100,2)=4950, p=0.02: 198 expected pair keys
+        # m=100, C(100,2)=4950, p=0.02: 198 expected pair keys, counted with
+        # the n=100 vertices
         params = derive_params(100, 1.0, 2.0)
-        monkeypatch.setattr(model, "PAIR_KEY_BUDGET", 197)
+        monkeypatch.setattr(model, "PAIR_KEY_BUDGET", 297)
         with pytest.raises(ValueError, match="pair keys"):
             run_trial(params, np.random.default_rng(0))
-        monkeypatch.setattr(model, "PAIR_KEY_BUDGET", 199)
+        monkeypatch.setattr(model, "PAIR_KEY_BUDGET", 299)
         run_trial(params, np.random.default_rng(0))
+
+    # n = 10^10 and m = 1: half a pair key is expected, and the bipartite
+    # graph is 3 entries, but the census would allocate n-sized arrays
+    HUGE_N = (10_000_000_000, 1e-10, 1.0)
+
+    def test_vertices_refused_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled despite the vertex count")
+
+        monkeypatch.setattr(experiments, "sample_bipartite", no_sampling)
+        monkeypatch.setattr(experiments, "sample_aux_lists", no_sampling)
+        params = derive_params(*self.HUGE_N)
+        with pytest.raises(ValueError, match="n=10000000000 vertices"):
+            run_trial(params, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n=10000000000 vertices"):
+            experiments.empirical_degree_pmf(params.m, params.n, params.p,
+                                             np.random.default_rng(0), samples=1)
+        with pytest.raises(ValueError, match="n=10000000000 vertices"):
+            SweepConfig(grid=(self.HUGE_N,), replicates=1, master_seed=1)
 
     def test_sweep_config_refused(self):
         # alpha = 1: E[pair keys] = mu*n/2 = 6.05e7
@@ -364,7 +384,12 @@ class TestSerialization:
         ("largest", ["0", "101", "500"]),
         ("second", ["-1", "61"]),
         ("eta", ["-1"]),
-        ("small_fraction", ["-0.1", "1.5", "nan", "inf"])])
+        ("small_fraction", ["-0.1", "1.5", "nan", "inf"]),
+        ("mu", ["0.5", "4.000000000000001", "nan", "inf"]),
+        ("degree_mean", ["-3.9", "99.5", "nan"]),
+        ("replicate", ["-3"]),
+        ("seed", ["-1", str(2 ** 64)]),
+        ("elapsed_ms", ["-5", "nan"])])
     def test_impossible_record_names_line(self, field, values):
         good = dict(n="100", beta="1.0", gamma="2.0", mu="4.0", replicate="0", seed="7",
                     largest="60", second="5", small_fraction="0.35", eta="1",

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -122,6 +123,41 @@ class TestSampleBipartite:
             got = _fill_distinct(a, n, d, first)
             assert np.array_equal(got, oracle.fill_distinct_loop(b, n, d, first))
             np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+
+    def test_stream_matches_loop_oracle(self):
+        # the same offsets, members and generator state after it on 2,000
+        # seeded (n, m, p): every tenth case has p = 0, m = 0 or p = 1; 659
+        # cases repair at least one list, and 851 have a heavy one
+        cases = rng(20261019)
+        for case in range(2000):
+            n = int(cases.integers(1, 61))
+            m = 0 if case % 10 == 1 else int(cases.integers(0, 41))
+            p = {0: 0.0, 2: 1.0}.get(case % 10, float(cases.uniform() ** cases.integers(1, 4)))
+            a = np.random.Generator(np.random.Philox(case))
+            b = np.random.Generator(np.random.Philox(case))
+            got = sample_aux_lists(n, m, p, a)
+            offsets, members = oracle.sample_aux_lists_loop(n, m, p, b)
+            assert np.array_equal(got.offsets, offsets), (n, m, p)
+            assert np.array_equal(got.members, members), (n, m, p)
+            np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+
+    # SHA-256 of offsets, members and the next draw, each as <i8 bytes
+    @pytest.mark.parametrize("seed,n,m,p,digest", [
+        (20261019, 100_000, 100_000, 1e-05,
+         "9730c71102e1b60c683bc87d6854f259fd4dbc493d4222e52c0fa719ee2d0f89"),
+        (20261020, 1_000_000, 1_000_000, 2e-06,
+         "283e68d72def6bfd2d978bcbdb3e612c24d555ce09222bd44be6a7f3a115d4b0"),
+        # mean list size 40 of 2,000: about a third of the lists are repaired
+        (20261021, 2000, 3000, 0.02,
+         "b68a414049d47410fd03bd6ca7076cb761c58a47770661f229e027906e99d301"),
+    ], ids=["n1e5", "n1e6", "repairs"])
+    def test_pinned_bulk_stream(self, seed, n, m, p, digest):
+        g = np.random.Generator(np.random.Philox(seed))
+        b = sample_aux_lists(n, m, p, g)
+        got = hashlib.sha256(b.offsets.astype("<i8").tobytes()
+                             + b.members.astype("<i8").tobytes()
+                             + np.array([g.integers(0, 2 ** 62)], dtype="<i8").tobytes())
+        assert got.hexdigest() == digest
 
     def test_validate_rejects_bad_lists(self):
         with pytest.raises(ValueError):
