@@ -129,7 +129,7 @@ def explore(g: SimpleGraph, start: int) -> ExplorationTrace:
     """
     if not 0 <= start < g.n:
         raise ValueError(f"start vertex {start} out of range for n={g.n}")
-    offsets, nbrs = g.adjacency()
+    offsets, nbrs = g.adjacency
     identified = np.zeros(g.n, dtype=bool)
     identified[start] = True
     queue: deque[int] = deque([start])

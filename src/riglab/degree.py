@@ -72,23 +72,6 @@ class DegreePmf:
             f.write(f"{k},{q!r}\n")
         f.write(f"tail,{float(self.tail)!r}\n")
 
-    @classmethod
-    def read_csv(cls, f: IO[str]) -> "DegreePmf":
-        header = f.readline().strip()
-        if header != "degree,probability":
-            raise ValueError(f"unexpected header {header!r}")
-        probs: list[float] = []
-        tail = 0.0
-        for line in f:
-            key, val = line.strip().split(",")
-            if key == "tail":
-                tail = float(val)
-            else:
-                if int(key) != len(probs):
-                    raise ValueError("degree rows must be consecutive from 0")
-                probs.append(float(val))
-        return cls(np.array(probs), tail)
-
 
 @dataclass(frozen=True)
 class CompoundPoissonSpec:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .components import census, small_fraction
 from .degree import DegreePmf
-from .model import (ModelParams, check_trial_size, derive_params, is_int,
+from .model import (ModelParams, _mu, check_trial_size, derive_params, is_int,
                     project_simple, project_with_excess, sample_aux_lists,
                     sample_bipartite)
 from .theory import solve_extinction
@@ -125,10 +125,6 @@ class SweepConfig:
             if fd.default is MISSING and fd.name not in doc:
                 raise ValueError(f"{_field(fd.name)} is missing")
         return cls(**doc)
-
-    def to_json(self, f: IO[str]) -> None:
-        json.dump(asdict(self), f, indent=2)
-        f.write("\n")
 
 
 @dataclass(frozen=True)
@@ -369,9 +365,9 @@ def _check_record(r: ExperimentRecord) -> ExperimentRecord:
         value = getattr(r, name)
         if value is not None and not lo <= value <= hi:  # also rejects NaN
             raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
-    try:  # run_trial writes exactly this product; no trial's gamma ** 2 overflows
-        mu_ok = r.mu == r.beta * r.gamma ** 2
-    except OverflowError:
+    try:  # run_trial writes exactly this value, and no trial's mu overflows
+        mu_ok = r.mu == _mu(r.beta, r.gamma)
+    except ValueError:
         mu_ok = False
     if not mu_ok:
         raise ValueError(f"mu must be beta * gamma ** 2, got {r.mu!r} "

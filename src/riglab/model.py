@@ -9,8 +9,10 @@ excess eta: the sum, over adjacent pairs, of their shared auxiliaries minus one.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterator
 
@@ -27,7 +29,6 @@ __all__ = [
     "project_simple",
     "project_with_excess",
     "write_bipartite",
-    "read_bipartite",
 ]
 
 
@@ -54,21 +55,39 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _mu(beta: float, gamma: float) -> float:
+    """mu = beta * gamma**2, the one formula of every derived, recorded and
+    solved mu, or (beta * gamma) * gamma where gamma**2 alone overflows;
+    raises ValueError when mu overflows."""
+    try:
+        mu = beta * gamma ** 2
+    except OverflowError:  # float ** raises where float * gives inf
+        mu = beta * gamma * gamma
+    if math.isinf(mu):
+        raise ValueError(f"mu = beta * gamma ** 2 overflows at beta={beta!r}, gamma={gamma!r}")
+    return mu
+
+
 def derive_params(n: int, beta: float, gamma: float, alpha: float = 1.0) -> ModelParams:
     """Validate (n, beta, gamma, alpha) and derive m, p, mu.
 
-    Raises ValueError if n is not a positive integer (a bool is not), beta,
-    gamma or alpha is NaN or infinite, beta or gamma is negative, or the
-    derived edge probability exceeds 1 (gamma too large for the given n).
+    Raises ValueError if n is not a positive integer (a bool is not) or
+    exceeds the largest float, beta, gamma or alpha is NaN or infinite, beta
+    or gamma is negative, beta * n or mu overflows, or the derived edge
+    probability exceeds 1 (gamma too large for the given n).
     """
     if not is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    if n > sys.float_info.max:
+        raise ValueError(f"n must be at most {sys.float_info.max!r}, got {n.bit_length()} bits")
     if not all(map(math.isfinite, (beta, gamma, alpha))):
         raise ValueError(f"beta, gamma and alpha must be finite, "
                          f"got {beta}, {gamma}, {alpha}")
     if beta < 0 or gamma < 0:
         raise ValueError(f"beta and gamma must be non-negative, got {beta}, {gamma}")
     prod = beta * n
+    if math.isinf(prod):
+        raise ValueError(f"beta * n overflows at beta={beta!r}, n={n}")
     # snap to the nearest integer before flooring so that e.g. beta=0.7, n=10
     # yields m=7 despite 0.7*10 == 6.999... in binary floating point
     nearest = round(prod)
@@ -80,7 +99,7 @@ def derive_params(n: int, beta: float, gamma: float, alpha: float = 1.0) -> Mode
     if p > 1.0:
         raise ValueError(f"derived edge probability p={p} exceeds 1 (gamma={gamma}, n={n})")
     return ModelParams(n=int(n), beta=float(beta), gamma=float(gamma), alpha=float(alpha),
-                       m=int(m), p=float(p), mu=float(beta) * float(gamma) ** 2)
+                       m=int(m), p=float(p), mu=_mu(float(beta), float(gamma)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,92 +127,38 @@ class BipartiteGraph:
         for k in range(self.m):
             yield self.members[self.offsets[k]:self.offsets[k + 1]]
 
-    def aux_degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
 
-    @classmethod
-    def from_lists(cls, n: int, lists) -> "BipartiteGraph":
-        arrs = [np.sort(np.asarray(lst, dtype=np.int64)) for lst in lists]
-        offsets = np.zeros(len(arrs) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(a) for a in arrs])
-        members = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
-        g = cls(n=n, offsets=offsets, members=members)
-        g.validate()
-        return g
-
-    def validate(self) -> None:
-        """Check structural invariants; raises ValueError on violation."""
-        if self.offsets[0] != 0 or np.any(np.diff(self.offsets) < 0):
-            raise ValueError("offsets must start at 0 and be non-decreasing")
-        if self.members.size:
-            if self.members.min() < 0 or self.members.max() >= self.n:
-                raise ValueError("member indices out of range")
-            # strictly increasing inside each segment
-            inc = np.diff(self.members) > 0
-            seg_start = np.zeros(len(self.members), dtype=bool)
-            starts = self.offsets[1:-1]
-            seg_start[starts[starts < len(self.members)]] = True
-            if not np.all(inc | seg_start[1:]):
-                raise ValueError("auxiliary lists must be strictly increasing")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BipartiteGraph) and self.n == other.n
-                and np.array_equal(self.offsets, other.offsets)
-                and np.array_equal(self.members, other.members))
-
-
+@dataclass(frozen=True, eq=False)
 class SimpleGraph:
     """Simple undirected graph from the deduplicated projection.
 
     Edges are stored as parallel arrays (u, v) with u < v, lexicographically
-    sorted and unique.  Adjacency is built lazily and cached; treat instances
-    as immutable once constructed.
+    sorted and unique.  The CSR adjacency is built on first use and cached.
     """
 
-    def __init__(self, n: int, u: np.ndarray, v: np.ndarray):
-        self.n = n
-        self.u = u
-        self.v = v
-        self._adj: tuple[np.ndarray, np.ndarray] | None = None
-        self._degrees: np.ndarray | None = None
-
-    @classmethod
-    def from_edges(cls, n: int, pairs) -> "SimpleGraph":
-        norm = sorted({(min(a, b), max(a, b)) for a, b in pairs})
-        for a, b in norm:
-            if a == b:
-                raise ValueError(f"self-loop {a} not allowed")
-            if a < 0 or b >= n:
-                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-        u = np.array([e[0] for e in norm], dtype=np.int64)
-        v = np.array([e[1] for e in norm], dtype=np.int64)
-        return cls(n, u, v)
+    n: int
+    u: np.ndarray
+    v: np.ndarray
 
     @property
     def edge_count(self) -> int:
         return len(self.u)
 
     def degrees(self) -> np.ndarray:
-        if self._degrees is None:
-            self._degrees = (np.bincount(self.u, minlength=self.n)
-                             + np.bincount(self.v, minlength=self.n))
-        return self._degrees
+        return np.bincount(self.u, minlength=self.n) + np.bincount(self.v, minlength=self.n)
 
+    @functools.cached_property
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency (offsets, neighbors); neighbors ascending per vertex."""
-        if self._adj is None:
-            src = np.concatenate([self.u, self.v])
-            dst = np.concatenate([self.v, self.u])
-            order = np.lexsort((dst, src))
-            nbrs = dst[order]
-            counts = np.bincount(src, minlength=self.n)
-            offsets = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            self._adj = (offsets, nbrs)
-        return self._adj
+        src = np.concatenate([self.u, self.v])
+        dst = np.concatenate([self.v, self.u])
+        nbrs = dst[np.lexsort((dst, src))]
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n), out=offsets[1:])
+        return offsets, nbrs
 
     def neighbors(self, vertex: int) -> np.ndarray:
-        offsets, nbrs = self.adjacency()
+        offsets, nbrs = self.adjacency
         return nbrs[offsets[vertex]:offsets[vertex + 1]]
 
 
@@ -223,8 +188,12 @@ BIPARTITE_BUDGET = 75_000_000
 
 
 def _check_bipartite_size(n: int, m: int, p: float) -> None:
-    """Raise ValueError when the expected CSR size m + 1 + m*n*p exceeds
-    BIPARTITE_BUDGET."""
+    """Raise ValueError when m*n > 2**63 or n >= 2**63, where the sampler's
+    int64 keys k*n + x or its binomial draws would overflow, or when the
+    expected CSR size m + 1 + m*n*p exceeds BIPARTITE_BUDGET."""
+    if m * n > 2 ** 63 or n >= 2 ** 63:  # exact in Python integers
+        raise ValueError(f"m*n > 2**63 or n >= 2**63 overflows the sampler's int64 "
+                         f"keys k*n + x (n={n}, m={m})")
     expected = m + 1 + m * n * p
     if expected > BIPARTITE_BUDGET:
         raise ValueError(
@@ -300,7 +269,9 @@ BLOCK = 1 << 16
 def check_trial_size(n: int, m: int, p: float) -> None:
     """Raise ValueError when one graph of (n, m, p) would pass either budget:
     BIPARTITE_BUDGET for the sample, or PAIR_KEY_BUDGET for the n vertices
-    plus the expected pair-key count m*C(n,2)*p^2 of its projection."""
+    plus the expected pair-key count m*C(n,2)*p^2 of its projection.  So a
+    checked graph has n <= PAIR_KEY_BUDGET, and its pair keys i*n + j stay
+    far below 2**63."""
     _check_bipartite_size(n, m, p)
     expected = m * (n * (n - 1) / 2.0) * p ** 2
     if n + expected > PAIR_KEY_BUDGET:
@@ -325,7 +296,7 @@ def _pair_keys(b: BipartiteGraph) -> np.ndarray:
     list in one repeat/arange pass; lists are strictly increasing, so the
     left member is the smaller one.  Only a block's temporaries come on top.
     """
-    deg = b.aux_degrees()
+    deg = np.diff(b.offsets)
     keys = np.empty(int(deg @ (deg - 1)) // 2, dtype=np.int64)
     del deg
     k0 = filled = 0
@@ -387,17 +358,3 @@ def write_bipartite(b: BipartiteGraph, f: IO[str]) -> None:
         f.write(" ".join(map(str, lst.tolist())) + "\n")
     f.write("\n")
 
-
-def read_bipartite(f: IO[str]) -> BipartiteGraph:
-    """Parse the dump format written by write_bipartite."""
-    header = f.readline().split()
-    if len(header) != 2:
-        raise ValueError("expected header line 'n m'")
-    n, m = int(header[0]), int(header[1])
-    lists = []
-    for _ in range(m):
-        line = f.readline()
-        if line == "":
-            raise ValueError("unexpected end of file inside auxiliary lists")
-        lists.append([int(t) for t in line.split()])
-    return BipartiteGraph.from_lists(n, lists)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degree import CompoundPoissonSpec, cpoisson_sample, rig_degree_sample, rig_gf, rimg_log_gf
+from .model import _mu
 
 __all__ = [
     "FixedPointResult",
@@ -59,13 +60,14 @@ def solve_extinction(beta: float, gamma: float) -> FixedPointResult:
     then brackets the root with signs of h that exceed its rounding error.
     rho is the last iterate, kept inside the bracket, so rho < 1 whenever
     mu > 1; converged means the certified error is at most _EXTINCTION_TOL.
-    Raises ValueError if beta or gamma is NaN, infinite or negative.
+    Raises ValueError if beta or gamma is NaN, infinite or negative, or if
+    mu = beta * gamma**2 overflows.
     """
     if not (math.isfinite(beta) and math.isfinite(gamma)):
         raise ValueError(f"beta and gamma must be finite, got {beta}, {gamma}")
     if beta < 0 or gamma < 0:
         raise ValueError("beta and gamma must be non-negative")
-    mu = beta * gamma * gamma
+    mu = _mu(beta, gamma)
     regime = "subcritical" if mu < 1.0 else ("critical" if mu == 1.0 else "supercritical")
     if mu <= 1.0:
         return FixedPointResult(rho=1.0, residual=0.0, iterations=0, regime=regime,

@@ -7,6 +7,9 @@ edge sets are recomputed from raw bitmasks.
 
 Coefficient extraction from the degree generating function under mpmath
 extended precision, for n beyond the reach of enumeration.
+
+Builders of the package's graph types from plain lists, with their input
+checks, and reference parsers of its text outputs, for tests only.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ import itertools
 import math
 
 import numpy as np
+
+from riglab.degree import DegreePmf
+from riglab.model import BipartiteGraph, SimpleGraph
 
 
 def configurations(n: int, m: int):
@@ -192,3 +198,70 @@ def cpoisson_log_pmf(lambda1: float, lambda2: float, kmax: int,
                            axis=0)
     out[0] = np.logaddexp(out[0], -lambda1)  # j = 0: the total is 0
     return out
+
+
+# ---------------------------------------------------------------------------
+# test builders and reference parsers
+# ---------------------------------------------------------------------------
+
+def validate_bipartite(b: BipartiteGraph) -> None:
+    """Check the CSR invariants: offsets start at 0 and never decrease, and
+    each list is strictly increasing in range(n); raises ValueError."""
+    if b.offsets[0] != 0 or np.any(np.diff(b.offsets) < 0):
+        raise ValueError("offsets must start at 0 and be non-decreasing")
+    for lst in b.lists():
+        if lst.size and (lst[0] < 0 or lst[-1] >= b.n or np.any(np.diff(lst) <= 0)):
+            raise ValueError(f"list {lst.tolist()} is not strictly increasing in range({b.n})")
+
+
+def _bipartite(n: int, lists) -> BipartiteGraph:
+    arrs = [np.asarray(lst, dtype=np.int64) for lst in lists]
+    offsets = np.zeros(len(arrs) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(a) for a in arrs])
+    members = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
+    b = BipartiteGraph(n=n, offsets=offsets, members=members)
+    validate_bipartite(b)
+    return b
+
+
+def bipartite_from_lists(n: int, lists) -> BipartiteGraph:
+    """The bipartite graph whose auxiliary k holds the vertices of lists[k],
+    each list sorted; raises ValueError on a repeated or out-of-range vertex."""
+    return _bipartite(n, [sorted(lst) for lst in lists])
+
+
+def simple_from_edges(n: int, pairs) -> SimpleGraph:
+    """The simple graph on range(n) with the given undirected edges, repeats
+    merged; raises ValueError on a self-loop or an out-of-range vertex."""
+    norm = sorted({(min(a, b), max(a, b)) for a, b in pairs})
+    for a, b in norm:
+        if a == b:
+            raise ValueError(f"self-loop {a} not allowed")
+        if a < 0 or b >= n:
+            raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+    u = np.array([e[0] for e in norm], dtype=np.int64)
+    v = np.array([e[1] for e in norm], dtype=np.int64)
+    return SimpleGraph(n, u, v)
+
+
+def read_dump(text: str) -> BipartiteGraph:
+    """Parse the bipartite dump: an "n m" header, m lines of strictly
+    increasing vertex indices, then one blank line and nothing more; raises
+    ValueError on any other shape."""
+    lines = text.split("\n")
+    n, m = map(int, lines[0].split())
+    if lines[1 + m:] != ["", ""]:
+        raise ValueError(f"expected {m} lists, one blank line and the end of the dump")
+    return _bipartite(n, [[int(t) for t in line.split()] for line in lines[1:1 + m]])
+
+
+def read_degree_csv(text: str) -> DegreePmf:
+    """Parse a degree pmf CSV: the "degree,probability" header, one row per
+    degree from 0 up, and a final "tail" row; raises ValueError on any other
+    shape."""
+    rows = [line.split(",") for line in text.splitlines()]
+    if rows[0] != ["degree", "probability"] or rows[-1][0] != "tail":
+        raise ValueError("expected the degree,probability header and a final tail row")
+    if [r[0] for r in rows[1:-1]] != [str(k) for k in range(len(rows) - 2)]:
+        raise ValueError("degree rows must be consecutive from 0")
+    return DegreePmf(np.array([float(r[1]) for r in rows[1:-1]]), float(rows[-1][1]))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -8,10 +9,11 @@ import pytest
 import riglab.cli as cli
 import riglab.experiments as experiments
 from riglab.cli import main
-from riglab.degree import DegreePmf, rig_pmf
+from riglab.degree import rig_pmf
 from riglab.experiments import SweepConfig, records_from_csv
-from riglab.model import read_bipartite
 from test_experiments import _dying_task
+
+import oracle
 
 
 # sweep config documents that must be refused, each with a part of its message
@@ -52,6 +54,8 @@ MALFORMED_CONFIGS = [
      "1.01e+10 bipartite offsets and members"),
     ({"grid": [[10000000000, 1e-10, 1.0]], "replicates": 1, "master_seed": 1},
      "n=10000000000 vertices"),
+    ({"grid": [[10, 1e308, 1.0]], "replicates": 1, "master_seed": 1},
+     "beta * n overflows"),
 ]
 
 
@@ -121,6 +125,17 @@ class TestRho:
         assert float(vals["rho"]) == 1.0 - 2.0 ** -53
         assert float(vals["error_bound"]) == 2.0 ** -53
 
+    def test_mu_is_the_records_mu(self, capsys):
+        # beta * gamma ** 2 is exactly 1 here, (beta * gamma) * gamma is not
+        beta, gamma = "0.4720737768284195", "1.4554425309821815"
+        code, out, _ = run_cli(capsys, "rho", "--beta", beta, "--gamma", gamma)
+        assert code == 0
+        vals = dict(line.split() for line in out.splitlines())
+        assert (vals["mu"], vals["rho"], vals["regime"]) == ("1.0", "1.0", "critical")
+        code, out, _ = run_cli(capsys, "trial", "--n", "1000", "--beta", beta,
+                               "--gamma", gamma)
+        assert records_from_csv(io.StringIO(out))[0].mu == 1.0
+
     @pytest.mark.parametrize("beta,gamma", [("1", "nan"), ("inf", "1"),
                                             ("nan", "1"), ("1", "-inf")])
     def test_non_finite_exits_one(self, capsys, beta, gamma):
@@ -141,10 +156,8 @@ class TestGenerate:
         code, _, _ = run_cli(capsys, "generate", "--n", "40", "--beta", "1",
                              "--gamma", "1.5", "--seed", "5", "--out", str(out_path))
         assert code == 0
-        with open(out_path) as f:
-            b = read_bipartite(f)
+        b = oracle.read_dump(out_path.read_text())
         assert b.n == 40 and b.m == 40
-        b.validate()
 
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "generate", "--n", "30", "--beta", "1",
@@ -171,7 +184,7 @@ class TestDegree:
         code, out, _ = run_cli(capsys, "degree", "--n", "30", "--beta", "1",
                                "--gamma", "1")
         assert code == 0
-        pmf = DegreePmf.read_csv(io.StringIO(out))
+        pmf = oracle.read_degree_csv(out)
         ref = rig_pmf(30, 30, 1 / 30)
         assert np.allclose(pmf.probs, ref.probs)
 
@@ -179,7 +192,7 @@ class TestDegree:
         code, out, _ = run_cli(capsys, "degree", "--n", "100", "--beta", "1",
                                "--gamma", "1", "--source", "limit")
         assert code == 0
-        pmf = DegreePmf.read_csv(io.StringIO(out))
+        pmf = oracle.read_degree_csv(out)
         assert abs(pmf.mean() - 1.0) < 1e-6
 
     def test_empirical(self, capsys):
@@ -187,7 +200,7 @@ class TestDegree:
                                "--gamma", "1", "--source", "empirical",
                                "--samples", "5000", "--seed", "3")
         assert code == 0
-        pmf = DegreePmf.read_csv(io.StringIO(out))
+        pmf = oracle.read_degree_csv(out)
         assert abs(pmf.probs.sum() + pmf.tail - 1.0) < 1e-10
 
     def test_exact_large_n(self, capsys):
@@ -196,7 +209,7 @@ class TestDegree:
         assert code == 0
         keys = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert keys == [str(k) for k in range(5000)] + ["tail"]
-        pmf = DegreePmf.read_csv(io.StringIO(out))
+        pmf = oracle.read_degree_csv(out)
         assert abs(pmf.mean() - 1.0) < 1e-3
 
     def test_limit_over_budget_exits_one(self, capsys):
@@ -375,7 +388,11 @@ class TestTrialSweepSummarize:
          ("trial", "--n", "10000000000", "--beta", "1e-10", "--gamma", "1")),
         ("n=60000000 vertices", ("degree", "--n", "60000000", "--beta", "1e-7",
                                  "--gamma", "1", "--source", "empirical")),
-    ], ids=["trial", "generate", "degree", "trial-vertices", "degree-vertices"])
+        # m = 100 lists of about ten members, but keys k*n + x past 2**63
+        ("m*n > 2**63", ("generate", "--n", "100000000000000000", "--beta", "1e-15",
+                         "--gamma", "10")),
+    ], ids=["trial", "generate", "degree", "trial-vertices", "degree-vertices",
+            "generate-keys"])
     def test_oversized_exits_one_before_sampling(self, capsys, monkeypatch,
                                                  size, argv):
         class NoDraws:
@@ -478,3 +495,49 @@ class TestTrialSweepSummarize:
         assert code == 0
         docs = json.loads(out_path.read_text())
         assert len(docs) == 2 and docs[0]["n"] == 100
+
+
+class TestOverflowRefused:
+    # each of these ended in an OverflowError, exit 2, before it was checked
+    @pytest.mark.parametrize("message,argv", [
+        ("beta * n overflows", ("trial", "--n", "10", "--beta", "1e308", "--gamma", "1")),
+        ("beta * n overflows", ("generate", "--n", "10", "--beta", "1e308", "--gamma", "1")),
+        ("beta * n overflows", ("degree", "--n", "10", "--beta", "1e308", "--gamma", "1")),
+        ("beta * n overflows", ("tails", "--n", "10", "--beta", "1e308", "--gamma", "1",
+                                "--k", "3", "--delta", "0.1")),
+        ("n must be at most", ("trial", "--n", "1" + "0" * 400, "--beta", "1",
+                               "--gamma", "1")),
+        ("mu = beta * gamma ** 2 overflows", ("trial", "--n", "10", "--beta", "1",
+                                              "--gamma", "1e200", "--alpha", "400")),
+        ("mu = beta * gamma ** 2 overflows", ("rho", "--beta", "1", "--gamma", "1e200")),
+    ], ids=["trial", "generate", "degree", "tails", "trial-n", "trial-mu", "rho-mu"])
+    def test_exits_one(self, capsys, message, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1].startswith("error: ") and message in err
+
+
+# SHA-256 of stdout, frozen before the graph types lost their test-only
+# methods; the generate dump has 11 heavy and 31 repaired lists
+PINNED_STDOUT = {
+    "generate": (("generate", "--n", "20", "--beta", "3", "--gamma", "8"),
+                 "1b7618f0bdf8093103ce6911eb25f3e90f59b59e4a95e600582537b076243c05"),
+    "degree-exact": (("degree", "--n", "30", "--beta", "1", "--gamma", "2"),
+                     "db9212bfcce3478692ff0180d669fffba7d748e43807a3748b140af89323f222"),
+    "degree-limit": (("degree", "--n", "30", "--beta", "1", "--gamma", "2",
+                      "--source", "limit"),
+                     "ec05d4bd259a31bae4f52191142e68f8340bbd73fbf490c045115d94c5410726"),
+    "degree-empirical": (("degree", "--n", "50", "--beta", "1", "--gamma", "2",
+                          "--source", "empirical", "--samples", "2000", "--seed", "3"),
+                         "d0c8349a1c14dfef1b21d992e90e02e6b649928ec46fe0cd42e597ba58d0083e"),
+    "trial": (("trial", "--n", "100000", "--beta", "1", "--gamma", "2"),
+              "0f44a58311c1f32d9d386ff3fad773707545c7969ad746af223255d7aa9884d6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STDOUT))
+def test_pinned_stdout(capsys, name):
+    argv, digest = PINNED_STDOUT[name]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

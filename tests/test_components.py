@@ -10,7 +10,9 @@ from scipy.sparse.csgraph import connected_components
 from riglab import model
 from riglab.components import census, explore, small_fraction
 from riglab.degree import DegreePmf, rig_pmf, tv_distance
-from riglab.model import SimpleGraph, derive_params, project_simple, sample_bipartite
+from riglab.model import derive_params, project_simple, sample_bipartite
+
+import oracle
 
 
 def rng(seed=0):
@@ -31,7 +33,7 @@ def scipy_sizes(g):
 def permuted_graph(n, a, b, seed):
     """The graph with edges (a[i], b[i]) under a random vertex permutation."""
     perm = np.random.default_rng(seed).permutation(n)
-    return SimpleGraph.from_edges(n, zip(perm[a].tolist(), perm[b].tolist()))
+    return oracle.simple_from_edges(n, zip(perm[a].tolist(), perm[b].tolist()))
 
 
 @st.composite
@@ -41,23 +43,22 @@ def simple_graphs(draw):
     k = draw(st.integers(0, max_edges))
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     idx = draw(st.permutations(range(max_edges))) if max_edges else []
-    return SimpleGraph.from_edges(n, [all_pairs[i] for i in idx[:k]])
+    return oracle.simple_from_edges(n, [all_pairs[i] for i in idx[:k]])
 
 
 class TestCensus:
     def test_edgeless(self):
-        c = census(SimpleGraph.from_edges(5, []))
+        c = census(oracle.simple_from_edges(5, []))
         assert c.sizes.tolist() == [1, 1, 1, 1, 1]
         assert c.largest == 1 and c.second == 1
 
     def test_triangle_plus_isolated(self):
-        c = census(SimpleGraph.from_edges(4, [(0, 1), (1, 2), (0, 2)]))
+        c = census(oracle.simple_from_edges(4, [(0, 1), (1, 2), (0, 2)]))
         assert c.sizes.tolist() == [3, 1]
 
     def test_single_clique(self):
         # one auxiliary covering everything: a single component
-        from riglab.model import BipartiteGraph
-        b = BipartiteGraph.from_lists(6, [list(range(6))])
+        b = oracle.bipartite_from_lists(6, [list(range(6))])
         c = census(project_simple(b))
         assert c.sizes.tolist() == [6]
         assert c.second == 0
@@ -75,7 +76,7 @@ class TestCensus:
     @settings(max_examples=40, deadline=None)
     def test_relabeling_invariance(self, g, seed):
         perm = np.random.default_rng(seed).permutation(g.n)
-        relabeled = SimpleGraph.from_edges(
+        relabeled = oracle.simple_from_edges(
             g.n, [(perm[a], perm[b]) for a, b in zip(g.u.tolist(), g.v.tolist())])
         assert census(relabeled).sizes.tolist() == census(g).sizes.tolist()
 
@@ -90,13 +91,13 @@ class TestCensus:
 
     def test_any_edge_order_vs_explore(self):
         # census relies on SimpleGraph's invariant u < v and hooks along the
-        # last edge of each run of u; from_edges establishes the sorted edges
-        # from shuffled, reversed pairs
+        # last edge of each run of u; simple_from_edges establishes the sorted
+        # edges from shuffled, reversed pairs
         for seed in range(3):
             proj = project_simple(sample_bipartite(derive_params(300, 1.0, 1.4), rng(seed)))
             pairs = sorted(zip(proj.v.tolist(), proj.u.tolist()))
             rng(seed).shuffle(pairs)
-            g = SimpleGraph.from_edges(300, pairs)
+            g = oracle.simple_from_edges(300, pairs)
             per_vertex = sorted(explore(g, v).component_size for v in range(g.n))
             sizes = census(g).sizes
             assert sorted(np.repeat(sizes, sizes).tolist()) == per_vertex
@@ -108,9 +109,9 @@ def hub_graphs():
     leaf sets, under permuted labels."""
     n = 3000
     leaves = np.arange(1, n)
-    yield SimpleGraph.from_edges(n, zip([0] * (n - 1), leaves.tolist()))
-    yield SimpleGraph.from_edges(n, zip((leaves - 1).tolist(), [n - 1] * (n - 1)))
-    yield SimpleGraph.from_edges(n, [(h, x) for h in (0, n - 1) for x in range(1, n - 1)])
+    yield oracle.simple_from_edges(n, zip([0] * (n - 1), leaves.tolist()))
+    yield oracle.simple_from_edges(n, zip((leaves - 1).tolist(), [n - 1] * (n - 1)))
+    yield oracle.simple_from_edges(n, [(h, x) for h in (0, n - 1) for x in range(1, n - 1)])
     hubs = np.repeat(np.arange(6), 400)
     leaf_sets = rng(7).integers(6, n, size=hubs.size)
     for seed in range(2):
@@ -120,8 +121,8 @@ def hub_graphs():
 class TestCensusBlocks:
     @pytest.mark.parametrize("block", [1, 3, 1 << 16])
     def test_any_block_size(self, monkeypatch, block):
-        graphs = [SimpleGraph.from_edges(1, []), SimpleGraph.from_edges(7, []),
-                  SimpleGraph.from_edges(4, [(2, 3)]), *hub_graphs(),
+        graphs = [oracle.simple_from_edges(1, []), oracle.simple_from_edges(7, []),
+                  oracle.simple_from_edges(4, [(2, 3)]), *hub_graphs(),
                   random_graph(2000, 0.7, 1.0, rng(5)), random_graph(2000, 1.0, 2.0, rng(6))]
         want = [census(g).sizes for g in graphs]
         monkeypatch.setattr(model, "BLOCK", block)
@@ -163,7 +164,7 @@ class TestCensusVsScipy:
                 g = permuted_graph(n, a, b, seed)
                 assert census(g).sizes.tolist() == scipy_sizes(g) == [n]
         # the path in label order: round one's hook chain is the whole path
-        assert census(SimpleGraph.from_edges(n, zip(i[:-1], i[1:]))).sizes.tolist() == [n]
+        assert census(oracle.simple_from_edges(n, zip(i[:-1], i[1:]))).sizes.tolist() == [n]
 
     def test_hubs(self):
         # a hub is hooked by many plain-scatter writes at once, within a block
@@ -172,7 +173,7 @@ class TestCensusVsScipy:
             assert census(g).sizes.tolist() == scipy_sizes(g)
 
     def test_degenerate(self):
-        for g in (SimpleGraph.from_edges(1, []), SimpleGraph.from_edges(7, [])):
+        for g in (oracle.simple_from_edges(1, []), oracle.simple_from_edges(7, [])):
             c = census(g)
             assert c.sizes.tolist() == scipy_sizes(g) == [1] * g.n
             assert c.sizes.dtype == np.int64
@@ -180,20 +181,20 @@ class TestCensusVsScipy:
 
 class TestExplore:
     def test_isolated_vertex(self):
-        t = explore(SimpleGraph.from_edges(3, [(1, 2)]), 0)
+        t = explore(oracle.simple_from_edges(3, [(1, 2)]), 0)
         assert t.steps == (0,) and t.component_size == 1
 
     def test_path(self):
-        t = explore(SimpleGraph.from_edges(3, [(0, 1), (1, 2)]), 0)
+        t = explore(oracle.simple_from_edges(3, [(0, 1), (1, 2)]), 0)
         assert t.steps == (1, 1, 0) and t.component_size == 3
 
     def test_path_from_middle(self):
-        t = explore(SimpleGraph.from_edges(3, [(0, 1), (1, 2)]), 1)
+        t = explore(oracle.simple_from_edges(3, [(0, 1), (1, 2)]), 1)
         assert t.steps == (2, 0, 0) and t.component_size == 3
 
     def test_rejects_bad_start(self):
         with pytest.raises(ValueError):
-            explore(SimpleGraph.from_edges(3, []), 3)
+            explore(oracle.simple_from_edges(3, []), 3)
 
     def test_first_step_is_degree(self):
         for seed in range(20):
@@ -231,22 +232,22 @@ class TestExplore:
         assert sorted(sizes, reverse=True) == census(g).sizes.tolist()
 
     def test_deterministic_fifo_order(self):
-        g = SimpleGraph.from_edges(6, [(0, 2), (0, 4), (2, 3), (4, 5), (3, 1)])
+        g = oracle.simple_from_edges(6, [(0, 2), (0, 4), (2, 3), (4, 5), (3, 1)])
         assert explore(g, 0).steps == (2, 1, 1, 1, 0, 0)
 
 
 class TestSmallFraction:
     def test_threshold_at_least_max(self):
-        c = census(SimpleGraph.from_edges(4, [(0, 1), (1, 2), (0, 2)]))
+        c = census(oracle.simple_from_edges(4, [(0, 1), (1, 2), (0, 2)]))
         assert small_fraction(c, 3) == 1.0
         assert small_fraction(c, 99) == 1.0
 
     def test_threshold_one(self):
-        c = census(SimpleGraph.from_edges(4, [(0, 1), (1, 2), (0, 2)]))
+        c = census(oracle.simple_from_edges(4, [(0, 1), (1, 2), (0, 2)]))
         assert small_fraction(c, 1) == 0.25
 
     def test_rejects_below_one(self):
-        c = census(SimpleGraph.from_edges(2, []))
+        c = census(oracle.simple_from_edges(2, []))
         with pytest.raises(ValueError):
             small_fraction(c, 0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -423,9 +424,8 @@ class TestSerialization:
 
     def test_config_round_trip(self):
         config = small_config(output="x.csv", format="json")
-        buf = io.StringIO()
-        config.to_json(buf)
-        back = SweepConfig.from_json(io.StringIO(buf.getvalue()))
+        doc = json.dumps(dataclasses.asdict(config))
+        back = SweepConfig.from_json(io.StringIO(doc))
         assert back == config
 
     def test_config_integral_float_n(self):

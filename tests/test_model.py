@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from riglab import model
 from riglab.model import (BipartiteGraph, _fill_distinct, _pair_keys, derive_params,
-                          project_simple, project_with_excess, read_bipartite,
-                          sample_aux_lists, sample_bipartite, write_bipartite)
+                          project_simple, project_with_excess, sample_aux_lists,
+                          sample_bipartite, write_bipartite)
 
 import oracle
 
@@ -93,7 +93,7 @@ class TestSampleBipartite:
 
     def test_lists_strictly_increasing(self):
         b = sample_aux_lists(30, 40, 0.2, rng(3))
-        b.validate()
+        oracle.validate_bipartite(b)
 
     def test_mean_edge_count(self):
         # Binomial(n*m, p) total: n=m=1e4, p=1e-4 has mean 1e4, sd ~ 100
@@ -108,7 +108,7 @@ class TestSampleBipartite:
     def test_degenerate_heavy_lists(self):
         # p close to 1 exercises the permutation path
         b = sample_aux_lists(5, 200, 0.9, rng(1))
-        b.validate()
+        oracle.validate_bipartite(b)
 
     def test_fill_distinct_matches_loop_oracle(self):
         # the same subset and the same generator state after it, on 1,500
@@ -159,13 +159,17 @@ class TestSampleBipartite:
                              + np.array([g.integers(0, 2 ** 62)], dtype="<i8").tobytes())
         assert got.hexdigest() == digest
 
-    def test_validate_rejects_bad_lists(self):
-        with pytest.raises(ValueError):
-            BipartiteGraph.from_lists(3, [[0, 5]])
-        g = BipartiteGraph(n=3, offsets=np.array([0, 2]),
-                           members=np.array([1, 1]))
-        with pytest.raises(ValueError):
-            g.validate()
+    def test_int64_key_range(self):
+        # the keys k*n + x reach m*n - 1, and numpy takes n as an int64
+        for n, m in ((2 ** 62, 2), (2 ** 63 - 1, 1), (2 ** 63 - 1, 0)):
+            model._check_bipartite_size(n, m, 0.0)
+        for n, m in ((2 ** 62 + 1, 2), (2 ** 63, 1), (2 ** 63, 0)):
+            with pytest.raises(ValueError, match=r"m\*n > 2\*\*63 or n >= 2\*\*63"):
+                model._check_bipartite_size(n, m, 0.0)
+        # at m*n = 2**63 the last key is 2**63 - 1: about nine members per list
+        b = sample_aux_lists(2 ** 62, 2, 2e-18, rng(6))
+        assert b.edge_count > 0
+        oracle.validate_bipartite(b)
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +186,26 @@ def shared_counts(b: BipartiteGraph) -> dict[tuple[int, int], int]:
 
 class TestProjections:
     def test_empty(self):
-        b = BipartiteGraph.from_lists(4, [[], []])
+        b = oracle.bipartite_from_lists(4, [[], []])
         g, eta = project_with_excess(b)
         assert g.edge_count == 0 and eta == 0
 
     def test_triangle(self):
-        b = BipartiteGraph.from_lists(3, [[0, 1, 2]])
+        b = oracle.bipartite_from_lists(3, [[0, 1, 2]])
         g = project_simple(b)
         assert edge_set(g) == {(0, 1), (0, 2), (1, 2)}
 
     def test_two_lists(self):
-        b = BipartiteGraph.from_lists(4, [[0, 1], [1, 2, 3]])
+        b = oracle.bipartite_from_lists(4, [[0, 1], [1, 2, 3]])
         assert edge_set(project_simple(b)) == {(0, 1), (1, 2), (1, 3), (2, 3)}
 
     def test_multiplicities(self):
-        b = BipartiteGraph.from_lists(3, [[0, 1], [0, 1], [1, 2]])
+        b = oracle.bipartite_from_lists(3, [[0, 1], [0, 1], [1, 2]])
         g, eta = project_with_excess(b)
         assert edge_set(g) == {(0, 1), (1, 2)} and eta == 1
 
     def test_parallel_pair(self):
-        b = BipartiteGraph.from_lists(2, [[0, 1], [0, 1], [0, 1]])
+        b = oracle.bipartite_from_lists(2, [[0, 1], [0, 1], [0, 1]])
         g, eta = project_with_excess(b)
         assert edge_set(g) == {(0, 1)} and eta == 2
 
@@ -232,7 +236,7 @@ def bipartite_graphs(draw):
     m = draw(st.integers(0, 4))
     masks = draw(st.lists(st.integers(0, 2 ** n - 1), min_size=m, max_size=m))
     lists = [[v for v in range(n) if (mk >> v) & 1] for mk in masks]
-    return BipartiteGraph.from_lists(n, lists)
+    return oracle.bipartite_from_lists(n, lists)
 
 
 class TestProjectionProperties:
@@ -272,9 +276,9 @@ class TestProjectionProperties:
 
 # graphs whose auxiliaries straddle the block boundaries in every way
 BLOCK_GRAPHS = {
-    "no auxiliaries": lambda: BipartiteGraph.from_lists(5, []),
-    "no members": lambda: BipartiteGraph.from_lists(5, [[], [], []]),
-    "0 and 1 members": lambda: BipartiteGraph.from_lists(
+    "no auxiliaries": lambda: oracle.bipartite_from_lists(5, []),
+    "no members": lambda: oracle.bipartite_from_lists(5, [[], [], []]),
+    "0 and 1 members": lambda: oracle.bipartite_from_lists(
         6, [[2], [], [0, 3], [1], [], [], [4], [0, 5], []]),
     "heavy": lambda: sample_aux_lists(40, 30, 0.6, rng(2)),
     "sparse": lambda: sample_aux_lists(500, 800, 0.004, rng(3)),
@@ -365,14 +369,14 @@ class TestDumpFormat:
         b = sample_aux_lists(12, 7, 0.3, rng(11))
         buf = io.StringIO()
         write_bipartite(b, buf)
-        assert b == read_bipartite(io.StringIO(buf.getvalue()))
+        back = oracle.read_dump(buf.getvalue())
+        assert back.n == b.n
+        assert np.array_equal(back.offsets, b.offsets)
+        assert np.array_equal(back.members, b.members)
 
     def test_format_shape(self):
-        b = BipartiteGraph.from_lists(4, [[0, 2], []])
+        b = oracle.bipartite_from_lists(4, [[0, 2], []])
         buf = io.StringIO()
         write_bipartite(b, buf)
         assert buf.getvalue() == "4 2\n0 2\n\n\n"
 
-    def test_truncated_rejected(self):
-        with pytest.raises(ValueError):
-            read_bipartite(io.StringIO("3 2\n0 1\n"))

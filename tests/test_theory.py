@@ -77,10 +77,23 @@ class TestSolveExtinction:
             assert r.rho == pytest.approx(ref, abs=1e-9)
 
     def test_critical(self):
-        r = solve_extinction(4.0, 0.5)
-        assert r.mu == 1.0
-        assert r.regime == "critical"
-        assert r.rho == 1.0
+        # at the second point beta * gamma ** 2 is exactly 1, and
+        # (beta * gamma) * gamma is not
+        for beta, gamma in ((4.0, 0.5), (0.4720737768284195, 1.4554425309821815)):
+            r = solve_extinction(beta, gamma)
+            assert r.mu == 1.0
+            assert r.regime == "critical"
+            assert r.rho == 1.0
+
+    def test_mu_is_the_derived_mu(self):
+        # beta = 1/gamma^2: the two products of three factors differ in
+        # about a third of these points, and mu must follow derive_params
+        g = np.random.default_rng(20261020)
+        gammas = 10.0 ** g.uniform(-3.0, 3.0, 10_000)
+        betas = 1.0 / gammas ** 2
+        assert np.count_nonzero(betas * gammas * gammas != betas * gammas ** 2) > 2000
+        for beta, gamma in zip(betas.tolist(), gammas.tolist()):
+            assert solve_extinction(beta, gamma).mu == derive_params(10 ** 6, beta, gamma).mu
 
     @pytest.mark.parametrize("beta,gamma", [(1.0, math.nan), (math.nan, 1.0),
                                             (math.inf, 1.0), (1.0, -math.inf)])
