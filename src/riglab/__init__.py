@@ -8,7 +8,7 @@ pin_malloc_thresholds()
 from .components import ComponentCensus, ExplorationTrace, census, explore, small_fraction
 from .degree import (CompoundPoissonSpec, DegreePmf, cpoisson_gf, cpoisson_pmf,
                      cpoisson_sample, rig_degree_sample, rig_gf, rig_moments,
-                     rig_pmf, rimg_pmf, rimg_sample, tv_distance)
+                     rig_pmf, rimg_pmf, tv_distance)
 from .experiments import (ExperimentRecord, SweepConfig, run_sweep, run_trial,
                           summarize, trial_stream)
 from .model import (BipartiteGraph, ModelParams, SimpleGraph, derive_params,

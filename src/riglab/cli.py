@@ -136,6 +136,9 @@ def cmd_branching(args) -> int:
         if args.n is None:
             raise ValueError("--n is required for --offspring rig")
         params = derive_params(args.n, args.beta, args.gamma)
+        if max(params.m, params.n - 1) >= 2 ** 63:  # exact in Python integers
+            raise ValueError(f"m or n - 1 >= 2**63 overflows the int64 binomial draws "
+                             f"of --offspring rig (n={params.n}, m={params.m})")
         off = RigDegreeOffspring(params.m, params.n, params.p)
     _, rng = trial_stream(args.seed, 0, 0)
     est, se = extinction_mc(off, args.reps, args.cap, rng)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SimpleGraph, _blocks
+from .model import SimpleGraph, _blocks, check_vertex_ids
 
 __all__ = ["ComponentCensus", "ExplorationTrace", "census", "explore", "small_fraction"]
 
@@ -59,28 +59,36 @@ def census(g: SimpleGraph) -> ComponentCensus:
     tree.  Every other vertex still points at its round-one root, so one last
     jump labels them all.  The crossing edges are built and updated block by
     block in place and freed before that jump, so only a block's temporaries
-    come on top of them.
+    come on top of them.  Vertex ids are int32 (raises ValueError when n
+    exceeds MAX_VERTICES), and every scatter or gather over edges or pairs
+    goes by block: numpy turns an int32 index into an intp copy, which over a
+    whole array would be 8 bytes per edge.  Gathers use take, which does
+    that at about half the cost of fancy indexing.
     """
-    parent = np.arange(g.n)
+    check_vertex_ids(g.n)
+    parent = np.arange(g.n, dtype=np.int32)
     u, v = g.u, g.v
-    parent[u] = v
-    _jump(parent, slice(None))
+    for s in _blocks(g.edge_count):
+        parent[u[s]] = v[s]
+    _jump(parent)
     # the edges between round-one trees, as root pairs lo < hi
     cross = np.empty(g.edge_count, dtype=bool)
     for s in _blocks(g.edge_count):
-        np.not_equal(parent[u[s]], parent[v[s]], out=cross[s])
-    lo = np.empty(np.count_nonzero(cross), dtype=np.int64)
+        np.not_equal(parent.take(u[s]), parent.take(v[s]), out=cross[s])
+    lo = np.empty(np.count_nonzero(cross), dtype=np.int32)
     hi = np.empty_like(lo)
     filled = 0
     for s in _blocks(g.edge_count):
         filled = _put_roots(parent, u[s][cross[s]], v[s][cross[s]], lo, hi, filled)
     del cross
     active = np.zeros(g.n, dtype=bool)
-    active[lo] = True
-    active[hi] = True
+    for s in _blocks(len(lo)):
+        active[lo[s]] = True
+        active[hi[s]] = True
     active = np.flatnonzero(active)
     while len(lo):
-        parent[lo] = hi
+        for s in _blocks(len(lo)):
+            parent[lo[s]] = hi[s]
         _jump(parent, active)
         # compacting in place: block s is read before any write reaches it
         filled = 0
@@ -88,7 +96,8 @@ def census(g: SimpleGraph) -> ComponentCensus:
             filled = _put_roots(parent, lo[s], hi[s], lo, hi, filled)
         lo, hi = lo[:filled], hi[:filled]
     del lo, hi
-    parent = parent[parent]
+    for s in _blocks(g.n):
+        parent[s] = parent.take(parent[s])
     # a counting sort: per_size[s] components have s vertices
     per_size = np.bincount(np.bincount(parent))
     sizes = np.repeat(np.arange(len(per_size) - 1, 0, -1), per_size[:0:-1])
@@ -99,7 +108,7 @@ def _put_roots(parent: np.ndarray, a: np.ndarray, b: np.ndarray,
                lo: np.ndarray, hi: np.ndarray, filled: int) -> int:
     """Write the root pairs of the edges (a, b) that join two trees, smaller
     root first, at lo[filled:] and hi[filled:]; return the new fill."""
-    ra, rb = parent[a], parent[b]
+    ra, rb = parent.take(a), parent.take(b)
     keep = ra != rb
     ra, rb = ra[keep], rb[keep]
     end = filled + len(ra)
@@ -108,16 +117,22 @@ def _put_roots(parent: np.ndarray, a: np.ndarray, b: np.ndarray,
     return end
 
 
-def _jump(parent: np.ndarray, s) -> None:
-    """Pointer jumping: point every vertex of s (an index array, or a slice)
-    at its root, given that every pointer out of s ends in s or at a root."""
-    ps = parent[s]
-    while True:
-        pps = parent[ps]
-        if np.array_equal(pps, ps):
-            return
-        parent[s] = pps
-        ps = pps
+def _jump(parent: np.ndarray, active: np.ndarray | None = None) -> None:
+    """Pointer jumping: point every vertex of `active` (ascending; all of
+    them when None) at its root, given that pointers only increase and every
+    pointer out of `active` ends in it or at a root.  Blocks go from the last
+    down, each jumped in place until done, so a block's pointers end in
+    itself or at vertices that already point at their roots."""
+    size = len(parent) if active is None else len(active)
+    for s in reversed(list(_blocks(size))):
+        at = s if active is None else active[s]
+        ps = parent[at]
+        while True:
+            pps = parent.take(ps)
+            if np.array_equal(pps, ps):
+                break
+            parent[at] = pps
+            ps = pps
 
 
 def explore(g: SimpleGraph, start: int) -> ExplorationTrace:

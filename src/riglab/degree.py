@@ -31,7 +31,6 @@ __all__ = [
     "cpoisson_sample",
     "rimg_log_gf",
     "rimg_pmf",
-    "rimg_sample",
     "tv_distance",
 ]
 
@@ -342,14 +341,6 @@ def rimg_pmf(m: int, n: int, p: float, kmax: int | None = None) -> DegreePmf:
     mixture rows of rig_pmf.  Refuses a mixture block over EXACT_PMF_BUDGET."""
     kmax = m * (n - 1) if kmax is None else kmax
     return _binom_mixture(m, p, lambda N: (N * (n - 1), p), kmax + 1, kmax)
-
-
-def rimg_sample(m: int, n: int, p: float, rng: np.random.Generator,
-                size: int | None = None):
-    """Sample the multigraph degree: Binomial(m, p) auxiliaries, then the
-    exact identity sum of N Binomial(n-1, p) = Binomial(N(n-1), p)."""
-    N = rng.binomial(m, p, size=size)
-    return rng.binomial((n - 1) * N, p)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "sample_bipartite",
     "sample_aux_lists",
     "check_trial_size",
+    "check_vertex_ids",
     "project_simple",
     "project_with_excess",
     "write_bipartite",
@@ -133,7 +134,8 @@ class SimpleGraph:
     """Simple undirected graph from the deduplicated projection.
 
     Edges are stored as parallel arrays (u, v) with u < v, lexicographically
-    sorted and unique.  The CSR adjacency is built on first use and cached.
+    sorted and unique; the projection gives them as the two int32 columns of
+    one buffer.  The CSR adjacency is built on first use and cached.
     """
 
     n: int
@@ -163,6 +165,32 @@ class SimpleGraph:
 
 
 # ---------------------------------------------------------------------------
+# blocks
+# ---------------------------------------------------------------------------
+
+# members, pair keys or edges per block of a pass that fills or updates an
+# array block by block, so that its temporaries stay a few MB at any size
+BLOCK = 1 << 16
+
+
+def _blocks(size: int) -> Iterator[slice]:
+    """Consecutive slices of at most BLOCK entries covering range(size)."""
+    for lo in range(0, size, BLOCK):
+        yield slice(lo, lo + BLOCK)
+
+
+def _aux_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive auxiliary ranges k0..k1-1 covering range(len(offsets) - 1),
+    each holding as many lists as fit in BLOCK members, and at least one."""
+    m = len(offsets) - 1
+    k0 = 0
+    while k0 < m:
+        k1 = max(k0 + 1, int(np.searchsorted(offsets, offsets[k0] + BLOCK, "right")) - 1)
+        yield k0, k1
+        k0 = k1
+
+
+# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
@@ -180,10 +208,11 @@ def _fill_distinct(rng: np.random.Generator, n: int, d: int, first: np.ndarray) 
     return np.sort(np.array(list(seen)[:d], dtype=np.int64))
 
 
-# The sampler's traced peak is about 17 bytes per auxiliary and 16 per member
+# The sampler's traced peak is about 17 bytes per auxiliary and 9 per member
 # (tracemalloc at n = 10^6: m = 10^6 and 2*10^6, with 2*10^6 and 4*10^6
-# members; a dense segment in repair adds up to 13 more per member), so this
-# bound on m + 1 + m*n*p keeps one bipartite graph near 1.3 GB.
+# members), so this bound on m + 1 + m*n*p keeps one bipartite graph near
+# 1.3 GB.  A dense light segment in repair costs far more: 122 bytes per
+# member at n = 10^6, m = 1, p = 0.45, in _fill_distinct's dict.
 BIPARTITE_BUDGET = 75_000_000
 
 
@@ -223,13 +252,17 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> Bipa
     any_heavy = bool(heavy.any())
     # segment-major keys k*n + x over the light segments: one global sort
     # sorts every segment, and a duplicate key names its segment as key // n.
-    # The draws become the keys: adding them into base raised peak RSS 14 %.
-    base = np.repeat(np.arange(m, dtype=np.int64),
-                     np.where(heavy, 0, degrees) if any_heavy else degrees)
-    base *= n
-    keys = rng.integers(0, n, size=base.size)
-    keys += base
-    del base
+    # The draws become the keys, and each block of them gets its segments'
+    # bases k*n added in place, so no base array as long as the draws exists.
+    light = offsets
+    if any_heavy:
+        light = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.where(heavy, 0, degrees), out=light[1:])
+    keys = rng.integers(0, n, size=int(light[-1]))
+    for k0, k1 in _aux_blocks(light):
+        keys[light[k0]:light[k1]] += np.repeat(np.arange(k0, k1, dtype=np.int64) * n,
+                                               np.diff(light[k0:k1 + 1]))
+    del light
     keys.sort()
     dirty = np.unique(keys[1:][keys[1:] == keys[:-1]] // n)
     np.remainder(keys, n, out=keys)
@@ -256,14 +289,21 @@ def sample_bipartite(params: ModelParams, rng: np.random.Generator) -> Bipartite
 # projections
 # ---------------------------------------------------------------------------
 
-# A trial's traced peak is about 31 bytes per pair key (n = 10^6, gamma = 2
-# and 4) and 17-19 per vertex (m = 1, n = 10^6 and 4*10^6), so this budget on
-# vertices plus pair keys keeps one trial near 1.6 GB.
+# A trial's traced peak is about 22 bytes per pair key at n = 10^6, gamma = 2,
+# 16 at gamma = 4, and 20 per vertex (m = 1, n = 10^6 and 4*10^6), so this
+# budget on vertices plus pair keys keeps one trial near 1.1 GB.
 PAIR_KEY_BUDGET = 50_000_000
 
-# members, pair keys or edges per block of a pass that fills or updates an
-# array block by block, so that its temporaries stay a few MB at any size
-BLOCK = 1 << 16
+# vertex ids of the projection and of the census are int32
+MAX_VERTICES = int(np.iinfo(np.int32).max)
+
+
+def check_vertex_ids(n: int) -> None:
+    """Raise ValueError when n exceeds MAX_VERTICES, so that some vertex id
+    would not fit in int32 (and the pair keys i*n + j could wrap)."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"n={n} exceeds {MAX_VERTICES}, the most vertices "
+                         f"whose ids fit in int32")
 
 
 def check_trial_size(n: int, m: int, p: float) -> None:
@@ -280,12 +320,6 @@ def check_trial_size(n: int, m: int, p: float) -> None:
             f"exceeds the budget of {PAIR_KEY_BUDGET:.3g}")
 
 
-def _blocks(size: int) -> Iterator[slice]:
-    """Consecutive slices of at most BLOCK entries covering range(size)."""
-    for lo in range(0, size, BLOCK):
-        yield slice(lo, lo + BLOCK)
-
-
 def _pair_keys(b: BipartiteGraph) -> np.ndarray:
     """All vertex pairs sharing an auxiliary, one key per sharing auxiliary.
 
@@ -297,12 +331,11 @@ def _pair_keys(b: BipartiteGraph) -> np.ndarray:
     left member is the smaller one.  Only a block's temporaries come on top.
     """
     deg = np.diff(b.offsets)
-    keys = np.empty(int(deg @ (deg - 1)) // 2, dtype=np.int64)
+    size = int(deg @ (deg - 1)) // 2
     del deg
-    k0 = filled = 0
-    while k0 < b.m:
-        # auxiliaries k0..k1-1: as many as fit in BLOCK members, at least one
-        k1 = max(k0 + 1, int(np.searchsorted(b.offsets, b.offsets[k0] + BLOCK, "right")) - 1)
+    keys = np.empty(size, dtype=np.int64)
+    filled = 0
+    for k0, k1 in _aux_blocks(b.offsets):
         off = b.offsets[k0:k1 + 1] - b.offsets[k0]
         members = b.members[b.offsets[k0]:b.offsets[k1]]
         pos = np.arange(members.size)
@@ -321,7 +354,6 @@ def _pair_keys(b: BipartiteGraph) -> np.ndarray:
         np.multiply(np.repeat(members, later), b.n, out=out)
         out += members[right]
         filled += right.size
-        k0 = k1
     return keys
 
 
@@ -332,18 +364,30 @@ def project_simple(b: BipartiteGraph) -> SimpleGraph:
 
 def project_with_excess(b: BipartiteGraph) -> tuple[SimpleGraph, int]:
     """Simple projection plus the multi-edge excess eta, the number of pair
-    keys beyond the first of each distinct pair, from one sorted pair pass."""
+    keys beyond the first of each distinct pair, from one sorted pair pass.
+
+    The edges are written over the sorted keys they come from, as int32
+    pairs (u, v) at the front of the key buffer: block by block in order,
+    each block's distinct keys are copied out before their pairs are written,
+    and the fill never passes the block's start, so no unread key is
+    overwritten and no second copy of the edges is made.  Raises ValueError
+    when n exceeds MAX_VERTICES.
+    """
+    check_vertex_ids(b.n)
     keys = _pair_keys(b)
     keys.sort()
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    u = keys[first]
-    eta = keys.size - u.size
-    del keys, first
-    v = u % b.n
-    u //= b.n
-    return SimpleGraph(b.n, u, v), eta
+    pairs = keys.view(np.int32).reshape(-1, 2)
+    filled = 0
+    for s in _blocks(keys.size):
+        distinct = keys[s][first[s]]
+        end = filled + distinct.size
+        np.divmod(distinct, b.n, out=(pairs[filled:end, 0], pairs[filled:end, 1]))
+        filled = end
+    eta = keys.size - filled
+    return SimpleGraph(b.n, pairs[:filled, 0], pairs[:filled, 1]), eta
 
 
 # ---------------------------------------------------------------------------

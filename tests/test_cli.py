@@ -510,7 +510,11 @@ class TestOverflowRefused:
         ("mu = beta * gamma ** 2 overflows", ("trial", "--n", "10", "--beta", "1",
                                               "--gamma", "1e200", "--alpha", "400")),
         ("mu = beta * gamma ** 2 overflows", ("rho", "--beta", "1", "--gamma", "1e200")),
-    ], ids=["trial", "generate", "degree", "tails", "trial-n", "trial-mu", "rho-mu"])
+        ("int64 binomial draws of --offspring rig (n=1" + "0" * 300 + ",",
+         ("branching", "--offspring", "rig", "--n", "1" + "0" * 300, "--beta", "1e-300",
+          "--gamma", "1", "--reps", "3")),
+    ], ids=["trial", "generate", "degree", "tails", "trial-n", "trial-mu", "rho-mu",
+            "branching-rig-n"])
     def test_exits_one(self, capsys, message, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""

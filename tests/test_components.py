@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from riglab import model
 from riglab.components import census, explore, small_fraction
 from riglab.degree import DegreePmf, rig_pmf, tv_distance
-from riglab.model import derive_params, project_simple, sample_bipartite
+from riglab.model import SimpleGraph, derive_params, project_simple, sample_bipartite
 
 import oracle
 
@@ -138,6 +138,21 @@ class TestCensusBlocks:
         assert sizes.tolist() == scipy_sizes(g)
         monkeypatch.setattr(model, "BLOCK", 1 << 62)
         assert np.array_equal(census(g).sizes, sizes)
+
+
+class TestCensusVertexIds:
+    def test_int64_built_graph(self):
+        # the census holds int32 ids whatever the dtype of the edges
+        g = random_graph(20_000, 1.0, 2.0, rng(9))
+        assert g.u.dtype == np.int32
+        g64 = SimpleGraph(g.n, g.u.astype(np.int64), g.v.astype(np.int64))
+        assert np.array_equal(census(g64).sizes, census(g).sizes)
+
+    def test_refuses_ids_beyond_int32(self):
+        # refused before the n-sized parent array is allocated
+        n = model.MAX_VERTICES + 1
+        with pytest.raises(ValueError, match=f"n={n} exceeds"):
+            census(SimpleGraph(n, np.array([0]), np.array([n - 1])))
 
 
 class TestCensusVsScipy:

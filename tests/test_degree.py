@@ -15,7 +15,7 @@ from riglab import degree
 from riglab.degree import (EXACT_PMF_BUDGET, CompoundPoissonSpec, DegreePmf,
                            cpoisson_gf, cpoisson_pmf, cpoisson_sample,
                            rig_degree_sample, rig_gf, rig_moments, rig_pmf,
-                           rimg_log_gf, rimg_pmf, rimg_sample, tv_distance)
+                           rimg_log_gf, rimg_pmf, tv_distance)
 from riglab.experiments import empirical_degree_pmf
 from riglab.model import derive_params, project_simple, sample_aux_lists
 
@@ -432,22 +432,6 @@ class TestRimg:
         assert abs(pmf.probs.sum() - 1.0) < 1e-12
         assert math.exp(rimg_log_gf(m, n, p, 0.5)) == pytest.approx(
             float(pmf.probs @ 0.5 ** np.arange(len(pmf.probs))), abs=1e-12)
-
-    def test_sample_degenerate(self):
-        assert not rimg_sample(5, 6, 0.0, rng(), size=100).any()
-        assert (rimg_sample(5, 6, 1.0, rng(), size=100) == 25).all()
-
-    def test_sample_mean(self):
-        m = n = 1000
-        p = 1e-3
-        draws = rimg_sample(m, n, p, rng(12), size=10 ** 6)
-        se = draws.std(ddof=1) / 1000.0
-        assert abs(draws.mean() - m * (n - 1) * p * p) < 3 * se
-
-    def test_sample_vs_pmf_tv(self):
-        m, n, p = 4, 5, 0.4
-        draws = rimg_sample(m, n, p, rng(13), size=200_000)
-        assert tv_distance(empirical_pmf(draws), rimg_pmf(m, n, p)) < 0.01
 
 
 class TestDominance:

@@ -110,6 +110,19 @@ class TestSampleBipartite:
         b = sample_aux_lists(5, 200, 0.9, rng(1))
         oracle.validate_bipartite(b)
 
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_any_block_size(self, monkeypatch, block):
+        # the segment bases k*n are added to the draws block by block: any
+        # block size gives the same graph from the same stream, with heavy,
+        # repaired, empty and no lists
+        cases = [(40, 30, 0.6), (500, 800, 0.004), (20, 60, 0.3), (7, 0, 0.5), (9, 5, 0.0)]
+        want = [sample_aux_lists(n, m, p, rng(i)) for i, (n, m, p) in enumerate(cases)]
+        monkeypatch.setattr(model, "BLOCK", block)
+        for i, ((n, m, p), b0) in enumerate(zip(cases, want)):
+            b = sample_aux_lists(n, m, p, rng(i))
+            assert np.array_equal(b.offsets, b0.offsets)
+            assert np.array_equal(b.members, b0.members)
+
     def test_fill_distinct_matches_loop_oracle(self):
         # the same subset and the same generator state after it, on 1,500
         # seeded cases from sparse (d << n) to dense (d = n) segments
@@ -220,6 +233,30 @@ class TestProjections:
         g, eta = project_with_excess(b)
         assert edge_set(g) == set(shared)
         assert eta == sum(c - 1 for c in shared.values())
+
+    def test_edges_are_int32_columns_of_the_key_buffer(self):
+        b = sample_aux_lists(300, 400, 0.02, rng(7))
+        g, eta = project_with_excess(b)
+        assert g.edge_count > 100
+        assert g.u.dtype == g.v.dtype == np.int32
+        assert (g.u < g.v).all()
+        assert (np.diff(g.u.astype(np.int64) * g.n + g.v) > 0).all()  # sorted, unique
+        assert edge_set(g) == set(shared_counts(b))
+        # u and v are the two int32 columns over the pair keys' own buffer
+        assert g.u.base is g.v.base and g.u.base.size == g.edge_count + eta
+
+    def test_refuses_ids_beyond_int32(self):
+        # the int64 pair keys i*n + j wrapped silently once n**2 > 2**63:
+        # this graph projected to u = -611686020
+        n = 4_000_000_000
+        b = BipartiteGraph(n=n, offsets=np.array([0, 2]), members=np.array([n - 2, n - 1]))
+        with pytest.raises(ValueError, match=f"n={n} exceeds"):
+            project_with_excess(b)
+        n = model.MAX_VERTICES
+        assert n == 2 ** 31 - 1
+        b = BipartiteGraph(n=n, offsets=np.array([0, 2]), members=np.array([n - 2, n - 1]))
+        g, eta = project_with_excess(b)
+        assert edge_set(g) == {(n - 2, n - 1)} and eta == 0
 
     def test_adjacency_symmetric(self):
         b = sample_aux_lists(25, 30, 0.1, rng(5))
