@@ -1,15 +1,15 @@
-"""Fixed glibc malloc thresholds, so a trial's peak RSS depends on its own
-graph and not on the trials run before it in the same process.
+"""Fixed glibc malloc thresholds, so a trial reuses the heap the last one freed.
 
 By default glibc raises its mmap threshold to the size of the largest mapped
-block freed so far (up to 32 MiB) and its trim threshold to twice that.  A
-trial frees arrays of random sizes close to one another (about 16 MB each at
-n = 10^6, gamma = 2), so whether the next array gets its own mapping or comes
-from the heap, and how much freed heap stays resident, depends on earlier
-trials: six 20 s runs of perfbench's trial_giant on a 2-vCPU host peaked at
-124 to 146 MiB.  Pinned at the values the sliding rule tends to, eleven runs,
-six of them on the same seeds, peaked at 124.2 to 124.6 MiB, at the same
-speed.  Setting a threshold by mallopt also stops glibc from moving it.
+block freed so far (up to 32 MiB) and its trim threshold to twice that; while
+they are low it gives freed arrays back to the kernel, and the next trial
+faults their pages in again.  Pinned at the values that rule tends to, 20
+sweep trials at n = 10^5 after a warm-up took 1 minor page fault instead of
+23,829, and perfbench's sweep_transition read an op_ms p50 of 155.7 to
+166.7 ms against 191.4 to 197.8 ms unpinned (2-vCPU host, two alternating
+20 s pairs).  Peak RSS does not depend on it: trial_giant read 95.1 MiB
+pinned and 94.9 MiB unpinned.  Setting a threshold by mallopt also stops
+glibc from moving it.
 """
 
 from __future__ import annotations

@@ -133,9 +133,9 @@ class BipartiteGraph:
 class SimpleGraph:
     """Simple undirected graph from the deduplicated projection.
 
-    Edges are stored as parallel arrays (u, v) with u < v, lexicographically
-    sorted and unique; the projection gives them as the two int32 columns of
-    one buffer.  The CSR adjacency is built on first use and cached.
+    Edges are parallel arrays (u, v) with u < v, lexicographically sorted and
+    unique: the projection's are the high and low int32 words of its distinct
+    pair keys.  The CSR adjacency is built on first use and cached.
     """
 
     n: int
@@ -194,25 +194,38 @@ def _aux_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
 # sampling
 # ---------------------------------------------------------------------------
 
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty x, sorted."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _fill_distinct(rng: np.random.Generator, n: int, d: int, first: np.ndarray) -> np.ndarray:
     """Complete a uniform distinct d-subset of range(n) from `first`, d draws.
 
-    Keeps the distinct values of `first` and draws batches until d are held;
-    the first d distinct values of an i.i.d. uniform stream form a uniform
-    random d-subset.  So the result and the draws depend on the set of
-    `first` and on the stream, not on the order of `first`.
+    Keeps the distinct values of `first` and draws batches of d minus the
+    count held, plus 2, until d are held; the first d distinct values of an
+    i.i.d. uniform stream form a uniform random d-subset.  So the result and
+    the draws depend on the set of `first` and on the stream, not on the
+    order of `first`.
     """
-    seen = dict.fromkeys(first.tolist())
-    while len(seen) < d:
-        seen.update(dict.fromkeys(rng.integers(0, n, size=d - len(seen) + 2).tolist()))
-    return np.sort(np.array(list(seen)[:d], dtype=np.int64))
+    held = _sorted_distinct(first)
+    while held.size < d:
+        draws = rng.integers(0, n, size=d - held.size + 2)
+        end = draws.size
+        # past d values, the last batch keeps only its earliest new ones
+        while (union := _sorted_distinct(np.concatenate((held, draws[:end])))).size > d:
+            del union  # so that only one union is held at a time
+            end -= 1
+        held = union
+    return held
 
 
 # The sampler's traced peak is about 17 bytes per auxiliary and 9 per member
 # (tracemalloc at n = 10^6: m = 10^6 and 2*10^6, with 2*10^6 and 4*10^6
 # members), so this bound on m + 1 + m*n*p keeps one bipartite graph near
-# 1.3 GB.  A dense light segment in repair costs far more: 122 bytes per
-# member at n = 10^6, m = 1, p = 0.45, in _fill_distinct's dict.
+# 1.3 GB.  A dense light segment in repair costs more: 33 bytes per member
+# at n = 10^6, m = 1, p = 0.45, in _fill_distinct's sorted arrays.
 BIPARTITE_BUDGET = 75_000_000
 
 
@@ -300,7 +313,7 @@ MAX_VERTICES = int(np.iinfo(np.int32).max)
 
 def check_vertex_ids(n: int) -> None:
     """Raise ValueError when n exceeds MAX_VERTICES, so that some vertex id
-    would not fit in int32 (and the pair keys i*n + j could wrap)."""
+    would not fit in int32, nor in the high word of a pair key i << 32 | j."""
     if n > MAX_VERTICES:
         raise ValueError(f"n={n} exceeds {MAX_VERTICES}, the most vertices "
                          f"whose ids fit in int32")
@@ -310,8 +323,7 @@ def check_trial_size(n: int, m: int, p: float) -> None:
     """Raise ValueError when one graph of (n, m, p) would pass either budget:
     BIPARTITE_BUDGET for the sample, or PAIR_KEY_BUDGET for the n vertices
     plus the expected pair-key count m*C(n,2)*p^2 of its projection.  So a
-    checked graph has n <= PAIR_KEY_BUDGET, and its pair keys i*n + j stay
-    far below 2**63."""
+    checked graph has n <= PAIR_KEY_BUDGET < MAX_VERTICES."""
     _check_bipartite_size(n, m, p)
     expected = m * (n * (n - 1) / 2.0) * p ** 2
     if n + expected > PAIR_KEY_BUDGET:
@@ -323,12 +335,13 @@ def check_trial_size(n: int, m: int, p: float) -> None:
 def _pair_keys(b: BipartiteGraph) -> np.ndarray:
     """All vertex pairs sharing an auxiliary, one key per sharing auxiliary.
 
-    Keys encode (i, j), i < j, as i*n + j, in order of the left member's
-    position, then the right one's.  One array of sum_k C(d_k, 2) keys is
-    filled block by block over auxiliaries holding about BLOCK members: in a
-    block, each member position is paired with every later position of its
-    list in one repeat/arange pass; lists are strictly increasing, so the
-    left member is the smaller one.  Only a block's temporaries come on top.
+    Keys encode (i, j), i < j, as i << 32 | j, exact for ids below 2**31 and
+    sorted as the pairs are, in order of the left member's position, then the
+    right one's.  One array of sum_k C(d_k, 2) keys is filled block by block
+    over auxiliaries holding about BLOCK members: in a block, each member
+    position is paired with every later position of its list in one
+    repeat/arange pass; lists are strictly increasing, so the left member is
+    the smaller one.  Only a block's temporaries come on top.
     """
     deg = np.diff(b.offsets)
     size = int(deg @ (deg - 1)) // 2
@@ -351,8 +364,8 @@ def _pair_keys(b: BipartiteGraph) -> np.ndarray:
         right = np.repeat(shift, later)
         right += np.arange(right.size)
         out = keys[filled:filled + right.size]
-        np.multiply(np.repeat(members, later), b.n, out=out)
-        out += members[right]
+        np.left_shift(np.repeat(members, later), 32, out=out)
+        out |= members[right]
         filled += right.size
     return keys
 
@@ -366,12 +379,11 @@ def project_with_excess(b: BipartiteGraph) -> tuple[SimpleGraph, int]:
     """Simple projection plus the multi-edge excess eta, the number of pair
     keys beyond the first of each distinct pair, from one sorted pair pass.
 
-    The edges are written over the sorted keys they come from, as int32
-    pairs (u, v) at the front of the key buffer: block by block in order,
-    each block's distinct keys are copied out before their pairs are written,
-    and the fill never passes the block's start, so no unread key is
-    overwritten and no second copy of the edges is made.  Raises ValueError
-    when n exceeds MAX_VERTICES.
+    The distinct sorted keys are the edges: block by block in order, each
+    block's distinct keys are copied forward to the fill position, which
+    never passes the block's start, so no unread key is overwritten and no
+    second copy of the edges is made.  u and v are the high and low int32
+    words of those keys.  Raises ValueError when n exceeds MAX_VERTICES.
     """
     check_vertex_ids(b.n)
     keys = _pair_keys(b)
@@ -379,15 +391,15 @@ def project_with_excess(b: BipartiteGraph) -> tuple[SimpleGraph, int]:
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    pairs = keys.view(np.int32).reshape(-1, 2)
     filled = 0
     for s in _blocks(keys.size):
         distinct = keys[s][first[s]]
-        end = filled + distinct.size
-        np.divmod(distinct, b.n, out=(pairs[filled:end, 0], pairs[filled:end, 1]))
-        filled = end
+        keys[filled:filled + distinct.size] = distinct
+        filled += distinct.size
     eta = keys.size - filled
-    return SimpleGraph(b.n, pairs[:filled, 0], pairs[:filled, 1]), eta
+    words = keys[:filled].view(np.int32).reshape(-1, 2)
+    high = int(sys.byteorder == "little")
+    return SimpleGraph(b.n, words[:, high], words[:, 1 - high]), eta
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,27 @@ class TestPhaseTransitionShape:
             assert abs(means[gamma] - predicted) <= 0.015
 
 
+class TestCriticalWindow:
+    # at mu = 1 the largest component lives on the scale n^(2/3) (Aldous,
+    # Ann. Probab. 25, 1997), so mean L1/n^(2/3) should not move between
+    # n = 1e4 and 1e5; seeds and the z bound were fixed before the first run
+    MASTER_SEED = 20261020
+    MAX_Z = 3.0
+
+    @pytest.mark.parametrize("index, beta, gamma", [(0, 1.0, 1.0), (1, 0.25, 2.0)])
+    def test_largest_scales_as_n_to_two_thirds(self, index, beta, gamma):
+        stats = []
+        for j, (n, reps) in enumerate(((10_000, 400), (100_000, 100))):
+            params = derive_params(n, beta, gamma)
+            assert params.mu == 1.0
+            scaled = [run_trial(params, trial_stream(self.MASTER_SEED, 2 * index + j, rep)[1])
+                      .largest / n ** (2 / 3) for rep in range(reps)]
+            stats.append((np.mean(scaled), np.var(scaled, ddof=1) / reps))
+        (mean_a, var_a), (mean_b, var_b) = stats
+        z = (mean_b - mean_a) / math.sqrt(var_a + var_b)
+        assert abs(z) <= self.MAX_Z, f"{mean_a:.3f} vs {mean_b:.3f}, z = {z:.2f}"
+
+
 class TestSerialization:
     def test_csv_round_trip(self):
         result = run_sweep(small_config(replicates=2))

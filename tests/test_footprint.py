@@ -12,13 +12,18 @@ import pytest
 import riglab
 from riglab import _alloc
 from riglab.experiments import run_trial, trial_stream
-from riglab.model import derive_params, project_with_excess, sample_bipartite
+from riglab.model import (derive_params, project_with_excess, sample_aux_lists,
+                          sample_bipartite)
 
 # traced peak bytes of one run_trial per pair key (distinct edges + eta) at
 # n = 2e5, beta = 1, by gamma: 28.0 at gamma = 2 and 16.5 at gamma = 4, where
 # the edges are int32 pairs written over their sorted keys; a u, v copy beside
 # the keys would add 8 bytes per edge (it read 33.8 and 32.0 with int64 u, v)
 BYTES_PER_PAIR_KEY = {2.0: 29, 4.0: 17}
+
+# traced peak bytes of sample_aux_lists(10**6, 1, 0.45) per member: one dense
+# light segment, completed by _fill_distinct (it read 118 with a dict of ints)
+BYTES_PER_REPAIRED_MEMBER = 48
 
 
 def run_fresh(code: str) -> str:
@@ -102,6 +107,19 @@ def test_trial_peak_memory_per_pair_key_gamma_4():
     # u, v copy beside the keys, even as int32, breaks the bound (22.7 B)
     per_key = trial_peak_per_pair_key(4.0)
     assert per_key <= BYTES_PER_PAIR_KEY[4.0], f"{per_key:.1f} B per pair key"
+
+
+def test_dense_segment_repair_peak_memory_per_member():
+    sample_aux_lists(1000, 1, 0.45, np.random.default_rng(0))  # warm up
+    tracemalloc.start()
+    try:
+        b = sample_aux_lists(10 ** 6, 1, 0.45, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.edge_count > 400_000
+    per_member = peak / b.edge_count
+    assert per_member <= BYTES_PER_REPAIRED_MEMBER, f"{per_member:.1f} B per member"
 
 
 @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallinfo2"), reason="needs glibc >= 2.33")

@@ -246,8 +246,8 @@ class TestProjections:
         assert g.u.base is g.v.base and g.u.base.size == g.edge_count + eta
 
     def test_refuses_ids_beyond_int32(self):
-        # the int64 pair keys i*n + j wrapped silently once n**2 > 2**63:
-        # this graph projected to u = -611686020
+        # the int64 pair keys i*n + j once wrapped silently at n**2 > 2**63
+        # (this graph projected to u = -611686020); i << 32 | j needs i < 2**31
         n = 4_000_000_000
         b = BipartiteGraph(n=n, offsets=np.array([0, 2]), members=np.array([n - 2, n - 1]))
         with pytest.raises(ValueError, match=f"n={n} exceeds"):
@@ -323,8 +323,8 @@ BLOCK_GRAPHS = {
 
 
 def pair_keys_oracle(b):
-    """i*n + j for every pair i < j of every list, list by list."""
-    return [i * b.n + j for lst in b.lists()
+    """i << 32 | j for every pair i < j of every list, list by list."""
+    return [i << 32 | j for lst in b.lists()
             for i, j in itertools.combinations(lst.tolist(), 2)]
 
 
