@@ -7,9 +7,9 @@ faults their pages in again.  Pinned at the values that rule tends to, 20
 sweep trials at n = 10^5 after a warm-up took 1 minor page fault instead of
 23,829, and perfbench's sweep_transition read an op_ms p50 of 155.7 to
 166.7 ms against 191.4 to 197.8 ms unpinned (2-vCPU host, two alternating
-20 s pairs).  Peak RSS does not depend on it: trial_giant read 95.1 MiB
-pinned and 94.9 MiB unpinned.  Setting a threshold by mallopt also stops
-glibc from moving it.
+20 s pairs).  Peak RSS does not depend on it: trial_giant read 83.1 to
+83.2 MiB pinned and 82.8 to 82.9 MiB unpinned (three alternating 20 s
+pairs).  Setting a threshold by mallopt also stops glibc from moving it.
 """
 
 from __future__ import annotations

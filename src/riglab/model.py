@@ -221,11 +221,14 @@ def _fill_distinct(rng: np.random.Generator, n: int, d: int, first: np.ndarray) 
     return held
 
 
-# The sampler's traced peak is about 17 bytes per auxiliary and 9 per member
+# The sampler's traced peak is about 8 bytes per auxiliary and 9 per member
 # (tracemalloc at n = 10^6: m = 10^6 and 2*10^6, with 2*10^6 and 4*10^6
 # members), so this bound on m + 1 + m*n*p keeps one bipartite graph near
-# 1.3 GB.  A dense light segment in repair costs more: 33 bytes per member
-# at n = 10^6, m = 1, p = 0.45, in _fill_distinct's sorted arrays.
+# 0.7 GB.  RSS holds the heap's high-water mark, which matches that peak
+# (26.3 MB of glibc heap growth for 26.0 traced at m = 10^6) only while no
+# freed array leaves a hole below a later, larger one (see sample_aux_lists).
+# A dense light segment in repair costs more: 33 bytes per member at
+# n = 10^6, m = 1, p = 0.45, in _fill_distinct's sorted arrays.
 BIPARTITE_BUDGET = 75_000_000
 
 
@@ -256,21 +259,24 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> Bipa
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
     _check_bipartite_size(n, m, p)
-    # m = 0, p = 0 and size-0 draws below take nothing from rng
-    degrees = rng.binomial(n, p, size=m).astype(np.int64, copy=False)
+    # m = 0, p = 0 and size-0 draws below take nothing from rng.  offsets
+    # comes before the degrees, which are freed before the draws, so the
+    # draws sit right after offsets; drawn first and kept, the degrees left a
+    # hole below them, and the heap grew 41.0 MB where it now grows 26.3.
     offsets = np.zeros(m + 1, dtype=np.int64)
+    degrees = rng.binomial(n, p, size=m).astype(np.int64, copy=False)
     np.cumsum(degrees, out=offsets[1:])
-
-    heavy = 2 * degrees >= n
-    any_heavy = bool(heavy.any())
+    heavy = np.flatnonzero(degrees >= n - n // 2)  # 2d >= n, with no int64 temporary
     # segment-major keys k*n + x over the light segments: one global sort
     # sorts every segment, and a duplicate key names its segment as key // n.
     # The draws become the keys, and each block of them gets its segments'
     # bases k*n added in place, so no base array as long as the draws exists.
     light = offsets
-    if any_heavy:
+    if heavy.size:
+        degrees[heavy] = 0
         light = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.where(heavy, 0, degrees), out=light[1:])
+        np.cumsum(degrees, out=light[1:])
+    del degrees
     keys = rng.integers(0, n, size=int(light[-1]))
     for k0, k1 in _aux_blocks(light):
         keys[light[k0]:light[k1]] += np.repeat(np.arange(k0, k1, dtype=np.int64) * n,
@@ -280,16 +286,19 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> Bipa
     dirty = np.unique(keys[1:][keys[1:] == keys[:-1]] // n)
     np.remainder(keys, n, out=keys)
     members = keys
-    if any_heavy:
+    if heavy.size:
+        is_light = np.ones(m, dtype=bool)
+        is_light[heavy] = False
         members = np.empty(int(offsets[-1]), dtype=np.int64)
-        members[np.repeat(~heavy, degrees)] = keys
+        members[np.repeat(is_light, np.diff(offsets))] = keys
     # repairs draw in ascending segment order, then the heavy segments do:
     # this order fixes the stream.  A repair needs only the set of its draws.
     for k in dirty:
-        seg = members[offsets[k]:offsets[k + 1]]
-        seg[:] = _fill_distinct(rng, n, int(degrees[k]), seg)
-    for k in np.flatnonzero(heavy):
-        members[offsets[k]:offsets[k + 1]] = np.sort(rng.permutation(n)[:degrees[k]])
+        lo, hi = offsets[k], offsets[k + 1]
+        members[lo:hi] = _fill_distinct(rng, n, int(hi - lo), members[lo:hi])
+    for k in heavy:
+        lo, hi = offsets[k], offsets[k + 1]
+        members[lo:hi] = np.sort(rng.permutation(n)[:hi - lo])
     return BipartiteGraph(n=n, offsets=offsets, members=members)
 
 
@@ -349,22 +358,21 @@ def _pair_keys(b: BipartiteGraph) -> np.ndarray:
     keys = np.empty(size, dtype=np.int64)
     filled = 0
     for k0, k1 in _aux_blocks(b.offsets):
-        off = b.offsets[k0:k1 + 1] - b.offsets[k0]
-        members = b.members[b.offsets[k0]:b.offsets[k1]]
-        pos = np.arange(members.size)
-        later = np.repeat(off[1:], np.diff(off))
-        later -= pos
-        later -= 1
+        lo, hi = int(b.offsets[k0]), int(b.offsets[k1])
+        members = b.members[lo:hi]
+        later = np.repeat(b.offsets[k0 + 1:k1 + 1], np.diff(b.offsets[k0:k1 + 1]))
+        later -= np.arange(lo + 1, hi + 1)
         # the pairs of position i start at index cumsum(later)[i] - later[i];
-        # a pair's index plus shift[i] is its right position
+        # a pair's index plus shift[i] is its right position in the block
         shift = np.cumsum(later)
         shift -= later
-        np.subtract(pos, shift, out=shift)
-        shift += 1
+        np.subtract(np.arange(1, members.size + 1), shift, out=shift)
         right = np.repeat(shift, later)
-        right += np.arange(right.size)
+        del shift
         out = keys[filled:filled + right.size]
         np.left_shift(np.repeat(members, later), 32, out=out)
+        del later
+        right += np.arange(right.size)
         out |= members[right]
         filled += right.size
     return keys

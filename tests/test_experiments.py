@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import io
@@ -299,7 +300,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("workers,expected", [(64, 6), (3, 3)])
     def test_workers_clamped_to_tasks(self, monkeypatch, workers, expected):
         monkeypatch.setattr(_RecordingPool, "max_workers", [])
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         config = small_config()  # 2 grid points x 3 replicates
         assert sweep_csv(config, workers=workers) == sweep_csv(config)
         assert _RecordingPool.max_workers == [expected]

@@ -21,6 +21,14 @@ from riglab.model import (derive_params, project_with_excess, sample_aux_lists,
 # the keys would add 8 bytes per edge (it read 33.8 and 32.0 with int64 u, v)
 BYTES_PER_PAIR_KEY = {2.0: 29, 4.0: 17}
 
+# glibc heap growth over one run_trial at n = 10^6, beta = 1, gamma = 2, per
+# byte of the same trial's traced peak: RSS holds the heap's high-water mark,
+# and a temporary freed below a later, larger array leaves a hole that pushes
+# it past the traced peak.  It read 1.32 with an int64 temporary of m entries
+# in the sampler's heavy test, 1.15 without, and 1.08 with the sampler's
+# degrees also freed before its draws.
+HEAP_PER_TRACED_BYTE = 1.2
+
 # traced peak bytes of sample_aux_lists(10**6, 1, 0.45) per member: one dense
 # light segment, completed by _fill_distinct (it read 118 with a dict of ints)
 BYTES_PER_REPAIRED_MEMBER = 48
@@ -51,7 +59,8 @@ def test_import_loads_no_scipy_stats_or_mpmath():
 
 
 def test_trial_sweep_and_summary_load_no_scipy():
-    # the census is numpy only; scipy.special stays with the closed forms
+    # the census is numpy only; scipy.special stays with the closed forms;
+    # only a sweep on more than one worker imports the process pool
     code = """
 import io
 import numpy as np
@@ -64,7 +73,8 @@ result = experiments.run_sweep(config, workers=1, sink=io.StringIO())
 assert not result.failures
 experiments.summarize(result.records)
 """
-    assert heavy_modules_after(code, ("scipy",)) == "[]"
+    packages = ("scipy", "concurrent.futures.process", "multiprocessing")
+    assert heavy_modules_after(code, packages) == "[]"
 
 
 def test_closed_forms_load_no_scipy_stats_or_mpmath():
@@ -122,15 +132,8 @@ def test_dense_segment_repair_peak_memory_per_member():
     assert per_member <= BYTES_PER_REPAIRED_MEMBER, f"{per_member:.1f} B per member"
 
 
-@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallinfo2"), reason="needs glibc >= 2.33")
-def test_import_pins_malloc_thresholds():
-    # in a fresh interpreter, glibc's sliding mmap threshold is still 128 KiB;
-    # after import riglab an array under MMAP_THRESHOLD comes from the heap,
-    # a larger one from its own mapping (mallinfo2's hblkhd counts mappings)
-    code = f"""
+MALLINFO2 = """
 import ctypes
-import numpy as np
-import riglab
 
 class Mallinfo2(ctypes.Structure):
     _fields_ = [(f, ctypes.c_size_t) for f in ("arena", "ordblks", "smblks", "hblks",
@@ -138,6 +141,22 @@ class Mallinfo2(ctypes.Structure):
 
 mallinfo2 = ctypes.CDLL(None).mallinfo2
 mallinfo2.restype = Mallinfo2
+mallinfo2.argtypes = []
+"""
+
+needs_mallinfo2 = pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                                     reason="needs glibc >= 2.33")
+
+
+@needs_mallinfo2
+def test_import_pins_malloc_thresholds():
+    # in a fresh interpreter, glibc's sliding mmap threshold is still 128 KiB;
+    # after import riglab an array under MMAP_THRESHOLD comes from the heap,
+    # a larger one from its own mapping (mallinfo2's hblkhd counts mappings)
+    code = MALLINFO2 + f"""
+import numpy as np
+import riglab
+
 before = mallinfo2().hblkhd
 small = np.ones({_alloc.MMAP_THRESHOLD // 2}, dtype=np.uint8)
 mid = mallinfo2().hblkhd
@@ -145,3 +164,27 @@ large = np.ones({_alloc.MMAP_THRESHOLD + (8 << 20)}, dtype=np.uint8)
 print(mid - before, mallinfo2().hblkhd - mid >= large.nbytes)
 """
     assert run_fresh(code) == "0 True"
+
+
+@needs_mallinfo2
+def test_trial_heap_high_water_near_traced_peak():
+    # in a fresh interpreter, so that no earlier test's freed arrays are in
+    # the heap; the arena (sbrk'd heap) only grows here, as nothing is near
+    # the 64 MiB trim threshold, so its growth is the trial's high-water mark
+    code = MALLINFO2 + """
+import tracemalloc
+import riglab
+from riglab.experiments import run_trial, trial_stream
+from riglab.model import derive_params
+
+run_trial(derive_params(1000, 1.0, 2.0), trial_stream(3, 1, 0)[1])  # warm up
+params = derive_params(10 ** 6, 1.0, 2.0)
+before = mallinfo2().arena
+run_trial(params, trial_stream(3, 0, 0)[1])
+growth = mallinfo2().arena - before
+tracemalloc.start()
+run_trial(params, trial_stream(3, 0, 0)[1])
+print(growth / tracemalloc.get_traced_memory()[1])
+"""
+    ratio = float(run_fresh(code))
+    assert ratio <= HEAP_PER_TRACED_BYTE, f"heap grew {ratio:.3f} x the traced peak"
