@@ -1,15 +1,20 @@
-"""Fixed glibc malloc thresholds, so a trial reuses the heap the last one freed.
+"""Fixed glibc malloc thresholds: small arrays reuse one heap, large ones map.
 
 By default glibc raises its mmap threshold to the size of the largest mapped
 block freed so far (up to 32 MiB) and its trim threshold to twice that; while
 they are low it gives freed arrays back to the kernel, and the next trial
-faults their pages in again.  Pinned at the values that rule tends to, 20
-sweep trials at n = 10^5 after a warm-up took 1 minor page fault instead of
-23,829, and perfbench's sweep_transition read an op_ms p50 of 155.7 to
-166.7 ms against 191.4 to 197.8 ms unpinned (2-vCPU host, two alternating
-20 s pairs).  Peak RSS does not depend on it: trial_giant read 83.1 to
-83.2 MiB pinned and 82.8 to 82.9 MiB unpinned (three alternating 20 s
-pairs).  Setting a threshold by mallopt also stops glibc from moving it.
+faults their pages in again.  Pinned, 20 sweep trials at n = 10^5 after a
+warm-up took 1 minor page fault instead of 23,829, and perfbench's
+sweep_transition read an op_ms p50 of 155.7 to 166.7 ms against 191.4 to
+197.8 ms unpinned (2-vCPU host, two alternating 20 s pairs); every array of
+such a trial is under 2 MiB.  Arrays of MMAP_THRESHOLD or more get their own
+mappings, given back when freed, so RSS follows a trial's live arrays: in
+the heap, small long-lived allocations left inside the region a trial freed
+split it, and over 200 trials at n = 10^6 the high-water mark jumped 9 to 12
+MiB above one trial's need (mallinfo2().arena after each trial, seeds 11 to
+13); mapped, the member draws and pair keys of such a trial (8 to 15 MB each)
+cost about 3 % of its time in page faults.  Setting a threshold by mallopt
+also stops glibc from moving it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import os
 
 __all__ = ["MMAP_THRESHOLD", "TRIM_THRESHOLD", "pin_malloc_thresholds"]
 
-MMAP_THRESHOLD = 32 << 20
+MMAP_THRESHOLD = 4 << 20
 TRIM_THRESHOLD = 64 << 20
 
 # mallopt parameter numbers, from glibc's malloc.h

@@ -108,13 +108,15 @@ class BipartiteGraph:
     """Auxiliary bipartite graph in CSR layout.
 
     ``members[offsets[k]:offsets[k+1]]`` is the strictly increasing list of
-    vertex indices adjacent to auxiliary vertex k.  Immutable after
-    construction; safe to share across workers.
+    vertex indices adjacent to auxiliary vertex k.  The sampler's offsets are
+    int32, as BIPARTITE_BUDGET keeps the member count far below 2**31; its
+    members are int64, or int32 on request (see sample_aux_lists).
+    Immutable after construction; safe to share across workers.
     """
 
     n: int
-    offsets: np.ndarray  # shape (m+1,), int64, non-decreasing
-    members: np.ndarray  # shape (edge_count,), int64
+    offsets: np.ndarray  # shape (m+1,), int32 from the sampler, non-decreasing
+    members: np.ndarray  # shape (edge_count,), int64 or int32
 
     @property
     def m(self) -> int:
@@ -179,13 +181,27 @@ def _blocks(size: int) -> Iterator[slice]:
         yield slice(lo, lo + BLOCK)
 
 
+def _cumsum_into(out: np.ndarray, x: np.ndarray) -> None:
+    """out[1:] = cumsum(x), block by block: numpy casts a whole int64 x to
+    int32 through a copy as long as x before it sums into an int32 out."""
+    for s in _blocks(len(x)):
+        run = out[s.start + 1:s.stop + 1]
+        np.cumsum(x[s], out=run)
+        run += out[s.start]
+
+
 def _aux_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
     """Consecutive auxiliary ranges k0..k1-1 covering range(len(offsets) - 1),
-    each holding as many lists as fit in BLOCK members, and at least one."""
+    each holding at most BLOCK lists, as many as fit in BLOCK members, and at
+    least one."""
     m = len(offsets) - 1
     k0 = 0
     while k0 < m:
-        k1 = max(k0 + 1, int(np.searchsorted(offsets, offsets[k0] + BLOCK, "right")) - 1)
+        # clamped in Python integers, then of the offsets' dtype: searchsorted
+        # would cast int32 offsets to int64 to compare them with an int
+        target = offsets.dtype.type(min(int(offsets[k0]) + BLOCK, int(offsets[-1])))
+        k1 = int(np.searchsorted(offsets, target, "right")) - 1
+        k1 = max(k0 + 1, min(k1, k0 + BLOCK))
         yield k0, k1
         k0 = k1
 
@@ -221,14 +237,16 @@ def _fill_distinct(rng: np.random.Generator, n: int, d: int, first: np.ndarray) 
     return held
 
 
-# The sampler's traced peak is about 8 bytes per auxiliary and 9 per member
+# The sampler's traced peak is about 4 bytes per auxiliary and 9 per member
 # (tracemalloc at n = 10^6: m = 10^6 and 2*10^6, with 2*10^6 and 4*10^6
 # members), so this bound on m + 1 + m*n*p keeps one bipartite graph near
-# 0.7 GB.  RSS holds the heap's high-water mark, which matches that peak
-# (26.3 MB of glibc heap growth for 26.0 traced at m = 10^6) only while no
-# freed array leaves a hole below a later, larger one (see sample_aux_lists).
-# A dense light segment in repair costs more: 33 bytes per member at
-# n = 10^6, m = 1, p = 0.45, in _fill_distinct's sorted arrays.
+# 0.7 GB, and its member count, the last int32 offset, far below 2**31.
+# Arrays of 4 MiB or more get mappings of their own (riglab/_alloc.py); the
+# rest share the heap, whose high-water mark RSS holds, so none of them may
+# leave a hole, when freed, below a later, larger one (see sample_aux_lists).
+# int32 members, made beside the int64 draws, cost 13 bytes per member, so
+# near 1 GB; a dense light segment in repair costs more: 33 bytes per member
+# at n = 10^6, m = 1, p = 0.45, in _fill_distinct's sorted arrays.
 BIPARTITE_BUDGET = 75_000_000
 
 
@@ -246,26 +264,32 @@ def _check_bipartite_size(n: int, m: int, p: float) -> None:
             f"p={p!r}) exceeds the budget of {BIPARTITE_BUDGET:.3g}")
 
 
-def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> BipartiteGraph:
+def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator,
+                     int32_members: bool = False) -> BipartiteGraph:
     """Sample the bipartite graph for raw (n, m, p).
 
     Per auxiliary vertex: degree d ~ Binomial(n, p), then a uniform random
     d-subset of the vertices.  Cost O(m + total edges) rather than n*m coin
     flips.  Subsets come from one bulk draw; only segments whose draw held a
     duplicate are repaired one by one, and segments with d >= n/2 fall back
-    to a partial permutation.  Raises ValueError, before the first draw, on
-    p outside [0, 1] or an expected size over BIPARTITE_BUDGET.
+    to a partial permutation.  Members are int64, which take products such
+    as i * n without wrapping, or int32 with int32_members, half the bytes
+    for a caller that only projects them.  Raises ValueError, before the
+    first draw, on p outside [0, 1], an expected size over BIPARTITE_BUDGET,
+    or int32_members with n over MAX_VERTICES.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
     _check_bipartite_size(n, m, p)
+    if int32_members:
+        check_vertex_ids(n)
     # m = 0, p = 0 and size-0 draws below take nothing from rng.  offsets
     # comes before the degrees, which are freed before the draws, so the
     # draws sit right after offsets; drawn first and kept, the degrees left a
-    # hole below them, and the heap grew 41.0 MB where it now grows 26.3.
-    offsets = np.zeros(m + 1, dtype=np.int64)
+    # hole below them (heap growth 41.0 MB against 26.3, with int64 offsets).
+    offsets = np.zeros(m + 1, dtype=np.int32)
     degrees = rng.binomial(n, p, size=m).astype(np.int64, copy=False)
-    np.cumsum(degrees, out=offsets[1:])
+    _cumsum_into(offsets, degrees)
     heavy = np.flatnonzero(degrees >= n - n // 2)  # 2d >= n, with no int64 temporary
     # segment-major keys k*n + x over the light segments: one global sort
     # sorts every segment, and a duplicate key names its segment as key // n.
@@ -274,9 +298,14 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> Bipa
     light = offsets
     if heavy.size:
         degrees[heavy] = 0
-        light = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(degrees, out=light[1:])
+        light = np.zeros(m + 1, dtype=np.int32)
+        _cumsum_into(light, degrees)
     del degrees
+    # members apart from the draws go below them, so that the freed draws
+    # leave the heap top to the pair keys rather than a hole under members
+    members = None
+    if heavy.size or int32_members:
+        members = np.empty(int(offsets[-1]), dtype=np.int32 if int32_members else np.int64)
     keys = rng.integers(0, n, size=int(light[-1]))
     for k0, k1 in _aux_blocks(light):
         keys[light[k0]:light[k1]] += np.repeat(np.arange(k0, k1, dtype=np.int64) * n,
@@ -285,12 +314,15 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> Bipa
     keys.sort()
     dirty = np.unique(keys[1:][keys[1:] == keys[:-1]] // n)
     np.remainder(keys, n, out=keys)
-    members = keys
-    if heavy.size:
+    if members is None:
+        members = keys
+    elif heavy.size:
         is_light = np.ones(m, dtype=bool)
         is_light[heavy] = False
-        members = np.empty(int(offsets[-1]), dtype=np.int64)
         members[np.repeat(is_light, np.diff(offsets))] = keys
+    else:
+        members[:] = keys
+    del keys
     # repairs draw in ascending segment order, then the heavy segments do:
     # this order fixes the stream.  A repair needs only the set of its draws.
     for k in dirty:
@@ -302,18 +334,20 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> Bipa
     return BipartiteGraph(n=n, offsets=offsets, members=members)
 
 
-def sample_bipartite(params: ModelParams, rng: np.random.Generator) -> BipartiteGraph:
-    """Sample the bipartite graph for the given model parameters."""
-    return sample_aux_lists(params.n, params.m, params.p, rng)
+def sample_bipartite(params: ModelParams, rng: np.random.Generator,
+                     int32_members: bool = False) -> BipartiteGraph:
+    """Sample the bipartite graph for the given model parameters (see
+    sample_aux_lists)."""
+    return sample_aux_lists(params.n, params.m, params.p, rng, int32_members)
 
 
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
 
-# A trial's traced peak is about 22 bytes per pair key at n = 10^6, gamma = 2,
-# 16 at gamma = 4, and 20 per vertex (m = 1, n = 10^6 and 4*10^6), so this
-# budget on vertices plus pair keys keeps one trial near 1.1 GB.
+# A trial's traced peak is about 15 bytes per pair key at n = 10^6, gamma = 2
+# and 16 at gamma = 4, and 17 per vertex (m = 1, n = 10^6 and 4*10^6), so
+# this budget on vertices plus pair keys keeps one trial near 0.85 GB.
 PAIR_KEY_BUDGET = 50_000_000
 
 # vertex ids of the projection and of the census are int32
@@ -346,21 +380,26 @@ def _pair_keys(b: BipartiteGraph) -> np.ndarray:
 
     Keys encode (i, j), i < j, as i << 32 | j, exact for ids below 2**31 and
     sorted as the pairs are, in order of the left member's position, then the
-    right one's.  One array of sum_k C(d_k, 2) keys is filled block by block
-    over auxiliaries holding about BLOCK members: in a block, each member
-    position is paired with every later position of its list in one
-    repeat/arange pass; lists are strictly increasing, so the left member is
-    the smaller one.  Only a block's temporaries come on top.
+    right one's.  One array of sum_k C(d_k, 2) keys, counted over blocks of
+    BLOCK degrees, is filled block by block over auxiliaries holding about
+    BLOCK members: in a block, each member position is paired with every
+    later position of its list in one repeat/arange pass; lists are strictly
+    increasing, so the left member is the smaller one.  Only a block's
+    temporaries come on top.
     """
-    deg = np.diff(b.offsets)
-    size = int(deg @ (deg - 1)) // 2
-    del deg
+    size = 0
+    for s in _blocks(b.m):
+        deg = np.diff(b.offsets[s.start:s.stop + 1]).astype(np.int64)
+        size += int(deg @ (deg - 1)) // 2
     keys = np.empty(size, dtype=np.int64)
     filled = 0
     for k0, k1 in _aux_blocks(b.offsets):
-        lo, hi = int(b.offsets[k0]), int(b.offsets[k1])
+        # int64, as numpy casts int32 repeat counts on every call
+        offsets = b.offsets[k0:k1 + 1].astype(np.int64)
+        lo, hi = int(offsets[0]), int(offsets[-1])
         members = b.members[lo:hi]
-        later = np.repeat(b.offsets[k0 + 1:k1 + 1], np.diff(b.offsets[k0:k1 + 1]))
+        later = np.repeat(offsets[1:], np.diff(offsets))
+        del offsets
         later -= np.arange(lo + 1, hi + 1)
         # the pairs of position i start at index cumsum(later)[i] - later[i];
         # a pair's index plus shift[i] is its right position in the block
@@ -370,7 +409,7 @@ def _pair_keys(b: BipartiteGraph) -> np.ndarray:
         right = np.repeat(shift, later)
         del shift
         out = keys[filled:filled + right.size]
-        np.left_shift(np.repeat(members, later), 32, out=out)
+        np.left_shift(np.repeat(members, later), 32, out=out, dtype=np.int64)
         del later
         right += np.arange(right.size)
         out |= members[right]
@@ -396,12 +435,14 @@ def project_with_excess(b: BipartiteGraph) -> tuple[SimpleGraph, int]:
     check_vertex_ids(b.n)
     keys = _pair_keys(b)
     keys.sort()
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     filled = 0
     for s in _blocks(keys.size):
-        distinct = keys[s][first[s]]
+        block = keys[s]
+        first = np.empty(block.size, dtype=bool)
+        # keys are sorted: the first is new unless it is the last one kept
+        first[0] = filled == 0 or block[0] != keys[filled - 1]
+        np.not_equal(block[1:], block[:-1], out=first[1:])
+        distinct = block[first]
         keys[filled:filled + distinct.size] = distinct
         filled += distinct.size
     eta = keys.size - filled

@@ -10,23 +10,38 @@ import numpy as np
 import pytest
 
 import riglab
-from riglab import _alloc
+from riglab import _alloc, model
+from riglab.components import census
 from riglab.experiments import run_trial, trial_stream
-from riglab.model import (derive_params, project_with_excess, sample_aux_lists,
-                          sample_bipartite)
+from riglab.model import (_pair_keys, derive_params, project_simple, project_with_excess,
+                          sample_aux_lists, sample_bipartite)
 
 # traced peak bytes of one run_trial per pair key (distinct edges + eta) at
-# n = 2e5, beta = 1, by gamma: 28.0 at gamma = 2 and 16.5 at gamma = 4, where
+# n = 2e5, beta = 1, by gamma: 19.4 at gamma = 2 and 16.5 at gamma = 4, where
 # the edges are int32 pairs written over their sorted keys; a u, v copy beside
-# the keys would add 8 bytes per edge (it read 33.8 and 32.0 with int64 u, v)
-BYTES_PER_PAIR_KEY = {2.0: 29, 4.0: 17}
+# the keys would add 8 bytes per edge (it read 33.8 and 32.0 with int64 u, v),
+# and at gamma = 2 it read 25.3 with int64 offsets and members and a dedupe
+# mask as long as the keys
+BYTES_PER_PAIR_KEY = {2.0: 20, 4.0: 17}
+
+# traced peak bytes of census per vertex above its graph at n = 2e5, beta = 1,
+# gamma = 2: it read 26.0 when the sizes came from np.bincount(np.bincount(
+# parent)), an intp copy of parent, n counts and a count as long as the giant
+CENSUS_BYTES_PER_VERTEX = 20
+
+# traced peak bytes of _pair_keys beside its keys, per BLOCK entry: one
+# block's temporaries.  It read 30 at n = 10^6, beta = gamma = 1, and 183 when
+# the key count was deg @ (deg - 1) over all m int64 degrees
+PAIR_KEY_TEMP_BYTES_PER_BLOCK_ENTRY = 48
 
 # glibc heap growth over one run_trial at n = 10^6, beta = 1, gamma = 2, per
 # byte of the same trial's traced peak: RSS holds the heap's high-water mark,
 # and a temporary freed below a later, larger array leaves a hole that pushes
 # it past the traced peak.  It read 1.32 with an int64 temporary of m entries
 # in the sampler's heavy test, 1.15 without, and 1.08 with the sampler's
-# degrees also freed before its draws.
+# degrees also freed before its draws.  With arrays of 4 MiB or more in
+# mappings of their own (riglab/_alloc.py) the heap grows 0.44 of the traced
+# peak, and RSS, which also counts the mappings, 1.06 over three trials.
 HEAP_PER_TRACED_BYTE = 1.2
 
 # traced peak bytes of sample_aux_lists(10**6, 1, 0.45) per member: one dense
@@ -119,6 +134,35 @@ def test_trial_peak_memory_per_pair_key_gamma_4():
     assert per_key <= BYTES_PER_PAIR_KEY[4.0], f"{per_key:.1f} B per pair key"
 
 
+def traced_peak(f, *args) -> int:
+    """Traced peak bytes of f(*args) above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_census_peak_memory_per_vertex():
+    census(project_simple(sample_bipartite(derive_params(1000, 1.0, 2.0),
+                                           np.random.default_rng(0))))  # warm up
+    g = project_simple(sample_bipartite(derive_params(200_000, 1.0, 2.0),
+                                        trial_stream(3, 0, 0)[1]))
+    per_vertex = traced_peak(census, g) / g.n
+    assert per_vertex <= CENSUS_BYTES_PER_VERTEX, f"{per_vertex:.1f} B per vertex"
+
+
+def test_pair_keys_peak_memory_above_keys():
+    # one pair key per two auxiliaries, so that an int64 temporary as long as
+    # m (8 MB) outweighs the keys (4 MB) and the block allowance (3 MiB)
+    b = sample_bipartite(derive_params(10 ** 6, 1.0, 1.0), np.random.default_rng(5))
+    key_bytes = _pair_keys(b).nbytes  # also the warm-up
+    assert key_bytes > 3_000_000
+    per_entry = (traced_peak(_pair_keys, b) - key_bytes) / model.BLOCK
+    assert per_entry <= PAIR_KEY_TEMP_BYTES_PER_BLOCK_ENTRY, f"{per_entry:.1f} B per block entry"
+
+
 def test_dense_segment_repair_peak_memory_per_member():
     sample_aux_lists(1000, 1, 0.45, np.random.default_rng(0))  # warm up
     tracemalloc.start()
@@ -188,3 +232,28 @@ print(growth / tracemalloc.get_traced_memory()[1])
 """
     ratio = float(run_fresh(code))
     assert ratio <= HEAP_PER_TRACED_BYTE, f"heap grew {ratio:.3f} x the traced peak"
+
+
+def test_trial_rss_growth_near_traced_peak():
+    # RSS is what the benchmark reads: over a few trials in a fresh
+    # interpreter it grows by about one trial's traced peak (1.06; 1.09 with
+    # every array in the heap), whether an array sits in the heap or in a
+    # mapping of its own
+    code = """
+import resource, tracemalloc
+import riglab
+from riglab.experiments import run_trial, trial_stream
+from riglab.model import derive_params
+
+run_trial(derive_params(1000, 1.0, 2.0), trial_stream(3, 1, 0)[1])  # warm up
+params = derive_params(10 ** 6, 1.0, 2.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for i in range(3):
+    run_trial(params, trial_stream(3, i, 0)[1])
+growth = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
+tracemalloc.start()
+run_trial(params, trial_stream(3, 0, 0)[1])
+print(growth / tracemalloc.get_traced_memory()[1])
+"""
+    ratio = float(run_fresh(code))
+    assert ratio <= HEAP_PER_TRACED_BYTE, f"RSS grew {ratio:.3f} x the traced peak"

@@ -8,14 +8,15 @@ rather than deep inside the acceptance ensembles.
 
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
 
 from riglab.components import census, explore
 from riglab.experiments import trial_stream
-from riglab.model import (derive_params, project_simple, project_with_excess,
-                          sample_bipartite, write_bipartite)
+from riglab.model import (BIPARTITE_BUDGET, derive_params, project_simple,
+                          project_with_excess, sample_bipartite, write_bipartite)
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,28 @@ def test_bipartite_surface(bipartite):
     buf = io.StringIO()
     write_bipartite(b, buf)
     assert buf.getvalue().startswith("60 60\n")
+
+
+@pytest.mark.parametrize("path,point", [("light", (60, 1.0, 1.5)), ("heavy", (40, 0.75, 24.0))])
+def test_bipartite_dtypes(path, point):
+    # members stay int64: perfbench/checks.py::pair_count forms
+    # min(a, c) * n + max(a, c) from them, which int32 members would wrap
+    n = point[0]
+    b = sample_bipartite(derive_params(*point), trial_stream(5, 0, 0)[1])
+    assert (np.diff(b.offsets).max() >= n - n // 2) == (path == "heavy")
+    assert b.members.dtype == np.int64
+    assert b.offsets.dtype == np.int32
+
+
+def test_bipartite_budget_fits_int32_offsets():
+    # the last offset is the member count.  At p = 1 it is m*n, and the budget
+    # holds m + 1 + m*n; otherwise it is Binomial(m*n, p) of mean at most the
+    # budget, which reaches t = 2**31 with probability at most
+    # exp(-(t ln(t/mean) - t + mean)) (Chernoff)
+    t = 2 ** 31
+    assert BIPARTITE_BUDGET < t
+    log_tail = -(t * math.log(t / BIPARTITE_BUDGET) - t + BIPARTITE_BUDGET)
+    assert log_tail < -1e9
 
 
 def test_simple_graph_surface(bipartite):
