@@ -52,15 +52,12 @@ def census(g: SimpleGraph) -> ComponentCensus:
     cycle can close; and every lo is hooked, so each round leaves fewer roots
     on the pairs.  Round one hooks along the edges themselves, since u < v is
     SimpleGraph's invariant, and pointer jumping then points every vertex at
-    its root.  Round two hooks along every edge as a root pair and jumps
-    again; an edge inside one tree writes its root onto itself, which may
-    cost that root its hook this round, but no edge is held yet.  Each later
-    round hooks along the crossing edges, the edges between two trees held
-    as root pairs (Shiloach and Vishkin's hooking, J. Algorithms 3, 1982,
-    onto any larger root), jumps the round-two roots on them to their roots
-    and relabels them, dropping the ones inside one tree.  Every other
-    vertex still points at its round-two root, so one last jump labels them
-    all.  The crossing edges are built and updated block by
+    its root.  Each later round hooks along the crossing edges, the edges
+    between two trees held as root pairs (Shiloach and Vishkin's hooking,
+    J. Algorithms 3, 1982, onto any larger root), jumps the round-one roots
+    on them to their roots and relabels them, dropping the ones inside one
+    tree.  Every other vertex still points at its round-one root, so one last
+    jump labels them all.  The crossing edges are built and updated block by
     block in place and freed before that jump, so only a block's temporaries
     come on top of them; the sizes are the run lengths of the labels sorted
     in place, so no count as long as n or the giant is made.  Vertex ids are
@@ -76,13 +73,7 @@ def census(g: SimpleGraph) -> ComponentCensus:
     for s in _blocks(g.edge_count):
         parent[u[s]] = v[s]
     _jump(parent)
-    # round two: at n = 10^6, gamma = 2 it leaves 772k of 2.0M edges crossing,
-    # against 1.0M after round one, so fewer root pairs are held
-    for s in _blocks(g.edge_count):
-        ru, rv = parent.take(u[s]), parent.take(v[s])
-        parent[np.minimum(ru, rv)] = np.maximum(ru, rv)
-    _jump(parent)
-    # the edges between round-two trees, as root pairs lo < hi
+    # the edges between round-one trees, as root pairs lo < hi
     cross = np.empty(g.edge_count, dtype=bool)
     for s in _blocks(g.edge_count):
         np.not_equal(parent.take(u[s]), parent.take(v[s]), out=cross[s])
@@ -124,15 +115,18 @@ def _run_lengths_descending(x: np.ndarray) -> np.ndarray:
         return y[1:] != y[:-1]
 
     runs = min(n, 1) + sum(np.count_nonzero(new_runs(s)) for s in _blocks(n - 1))
-    sizes = np.empty(runs, dtype=np.int64)
-    start = filled = 0
+    # the runs' starts, then n, differenced in place from the front
+    starts = np.empty(runs + 1, dtype=np.int64)
+    starts[0], starts[runs] = 0, n
+    filled = 1
     for s in _blocks(n - 1):
-        starts = s.start + 1 + np.flatnonzero(new_runs(s))
-        sizes[filled:filled + len(starts)] = np.diff(starts, prepend=start)
-        filled += len(starts)
-        if len(starts):
-            start = starts[-1]
-    sizes[filled:] = n - start
+        new = np.flatnonzero(new_runs(s))
+        new += s.start + 1
+        starts[filled:filled + len(new)] = new
+        filled += len(new)
+    sizes = starts[:runs]
+    for s in _blocks(runs):
+        np.subtract(starts[s.start + 1:s.stop + 1], sizes[s], out=sizes[s])
     np.negative(sizes, out=sizes)
     sizes.sort()
     np.negative(sizes, out=sizes)

@@ -182,7 +182,7 @@ def run_trial(params: ModelParams, rng: np.random.Generator,
     _check_coeff(small_threshold_coeff)
     check_trial_size(params.n, params.m, params.p)
     t0 = time.perf_counter()
-    b = sample_bipartite(params, rng, int32_members=True)
+    b = sample_bipartite(params, rng)
     g, eta = project_with_excess(b)
     del b  # the bipartite graph is not needed past the projection
     c = census(g)

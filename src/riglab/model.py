@@ -109,14 +109,13 @@ class BipartiteGraph:
 
     ``members[offsets[k]:offsets[k+1]]`` is the strictly increasing list of
     vertex indices adjacent to auxiliary vertex k.  The sampler's offsets are
-    int32, as BIPARTITE_BUDGET keeps the member count far below 2**31; its
-    members are int64, or int32 on request (see sample_aux_lists).
+    int32, as BIPARTITE_BUDGET keeps the member count far below 2**31.
     Immutable after construction; safe to share across workers.
     """
 
     n: int
     offsets: np.ndarray  # shape (m+1,), int32 from the sampler, non-decreasing
-    members: np.ndarray  # shape (edge_count,), int64 or int32
+    members: np.ndarray  # shape (edge_count,), int64
 
     @property
     def m(self) -> int:
@@ -241,12 +240,11 @@ def _fill_distinct(rng: np.random.Generator, n: int, d: int, first: np.ndarray) 
 # (tracemalloc at n = 10^6: m = 10^6 and 2*10^6, with 2*10^6 and 4*10^6
 # members), so this bound on m + 1 + m*n*p keeps one bipartite graph near
 # 0.7 GB, and its member count, the last int32 offset, far below 2**31.
-# Arrays of 4 MiB or more get mappings of their own (riglab/_alloc.py); the
+# Arrays of 2 MiB or more get mappings of their own (riglab/_alloc.py); the
 # rest share the heap, whose high-water mark RSS holds, so none of them may
 # leave a hole, when freed, below a later, larger one (see sample_aux_lists).
-# int32 members, made beside the int64 draws, cost 13 bytes per member, so
-# near 1 GB; a dense light segment in repair costs more: 33 bytes per member
-# at n = 10^6, m = 1, p = 0.45, in _fill_distinct's sorted arrays.
+# A dense light segment in repair costs more: 33 bytes per member at
+# n = 10^6, m = 1, p = 0.45, in _fill_distinct's sorted arrays.
 BIPARTITE_BUDGET = 75_000_000
 
 
@@ -264,29 +262,24 @@ def _check_bipartite_size(n: int, m: int, p: float) -> None:
             f"p={p!r}) exceeds the budget of {BIPARTITE_BUDGET:.3g}")
 
 
-def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator,
-                     int32_members: bool = False) -> BipartiteGraph:
+def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> BipartiteGraph:
     """Sample the bipartite graph for raw (n, m, p).
 
     Per auxiliary vertex: degree d ~ Binomial(n, p), then a uniform random
     d-subset of the vertices.  Cost O(m + total edges) rather than n*m coin
     flips.  Subsets come from one bulk draw; only segments whose draw held a
     duplicate are repaired one by one, and segments with d >= n/2 fall back
-    to a partial permutation.  Members are int64, which take products such
-    as i * n without wrapping, or int32 with int32_members, half the bytes
-    for a caller that only projects them.  Raises ValueError, before the
-    first draw, on p outside [0, 1], an expected size over BIPARTITE_BUDGET,
-    or int32_members with n over MAX_VERTICES.
+    to a partial permutation.  Raises ValueError, before the first draw, on
+    p outside [0, 1] or an expected size over BIPARTITE_BUDGET.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
     _check_bipartite_size(n, m, p)
-    if int32_members:
-        check_vertex_ids(n)
     # m = 0, p = 0 and size-0 draws below take nothing from rng.  offsets
     # comes before the degrees, which are freed before the draws, so the
     # draws sit right after offsets; drawn first and kept, the degrees left a
-    # hole below them (heap growth 41.0 MB against 26.3, with int64 offsets).
+    # hole below them (heap growth 41.0 MB against 26.3 at n = m = 10^6, with
+    # int64 offsets and every array in the heap).
     offsets = np.zeros(m + 1, dtype=np.int32)
     degrees = rng.binomial(n, p, size=m).astype(np.int64, copy=False)
     _cumsum_into(offsets, degrees)
@@ -301,11 +294,6 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator,
         light = np.zeros(m + 1, dtype=np.int32)
         _cumsum_into(light, degrees)
     del degrees
-    # members apart from the draws go below them, so that the freed draws
-    # leave the heap top to the pair keys rather than a hole under members
-    members = None
-    if heavy.size or int32_members:
-        members = np.empty(int(offsets[-1]), dtype=np.int32 if int32_members else np.int64)
     keys = rng.integers(0, n, size=int(light[-1]))
     for k0, k1 in _aux_blocks(light):
         keys[light[k0]:light[k1]] += np.repeat(np.arange(k0, k1, dtype=np.int64) * n,
@@ -314,15 +302,12 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator,
     keys.sort()
     dirty = np.unique(keys[1:][keys[1:] == keys[:-1]] // n)
     np.remainder(keys, n, out=keys)
-    if members is None:
-        members = keys
-    elif heavy.size:
+    members = keys
+    if heavy.size:
         is_light = np.ones(m, dtype=bool)
         is_light[heavy] = False
+        members = np.empty(int(offsets[-1]), dtype=np.int64)
         members[np.repeat(is_light, np.diff(offsets))] = keys
-    else:
-        members[:] = keys
-    del keys
     # repairs draw in ascending segment order, then the heavy segments do:
     # this order fixes the stream.  A repair needs only the set of its draws.
     for k in dirty:
@@ -334,20 +319,18 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator,
     return BipartiteGraph(n=n, offsets=offsets, members=members)
 
 
-def sample_bipartite(params: ModelParams, rng: np.random.Generator,
-                     int32_members: bool = False) -> BipartiteGraph:
-    """Sample the bipartite graph for the given model parameters (see
-    sample_aux_lists)."""
-    return sample_aux_lists(params.n, params.m, params.p, rng, int32_members)
+def sample_bipartite(params: ModelParams, rng: np.random.Generator) -> BipartiteGraph:
+    """Sample the bipartite graph for the given model parameters."""
+    return sample_aux_lists(params.n, params.m, params.p, rng)
 
 
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
 
-# A trial's traced peak is about 15 bytes per pair key at n = 10^6, gamma = 2
+# A trial's traced peak is about 19 bytes per pair key at n = 10^6, gamma = 2
 # and 16 at gamma = 4, and 17 per vertex (m = 1, n = 10^6 and 4*10^6), so
-# this budget on vertices plus pair keys keeps one trial near 0.85 GB.
+# this budget on vertices plus pair keys keeps one trial under 1 GB.
 PAIR_KEY_BUDGET = 50_000_000
 
 # vertex ids of the projection and of the census are int32
@@ -409,7 +392,7 @@ def _pair_keys(b: BipartiteGraph) -> np.ndarray:
         right = np.repeat(shift, later)
         del shift
         out = keys[filled:filled + right.size]
-        np.left_shift(np.repeat(members, later), 32, out=out, dtype=np.int64)
+        np.left_shift(np.repeat(members, later), 32, out=out)
         del later
         right += np.arange(right.size)
         out |= members[right]

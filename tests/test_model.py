@@ -154,25 +154,6 @@ class TestSampleBipartite:
             assert np.array_equal(got.members, members), (n, m, p)
             np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
 
-    def test_int32_members_same_stream(self):
-        # int32_members changes the members' dtype and nothing else: the same
-        # offsets, members and generator state after them, with light,
-        # repaired and heavy lists
-        cases = rng(20261020)
-        for case in range(300):
-            n = int(cases.integers(1, 61))
-            m = int(cases.integers(0, 41))
-            p = float(cases.uniform() ** cases.integers(1, 4))
-            a = np.random.Generator(np.random.Philox(case))
-            b = np.random.Generator(np.random.Philox(case))
-            got, want = sample_aux_lists(n, m, p, a, int32_members=True), sample_aux_lists(n, m, p, b)
-            assert got.members.dtype == np.int32 and want.members.dtype == np.int64
-            assert np.array_equal(got.offsets, want.offsets), (n, m, p)
-            assert np.array_equal(got.members, want.members), (n, m, p)
-            np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
-        with pytest.raises(ValueError, match="fit in int32"):
-            sample_aux_lists(2 ** 31, 1, 0.0, rng(0), int32_members=True)
-
     # SHA-256 of offsets, members and the next draw, each as <i8 bytes
     @pytest.mark.parametrize("seed,n,m,p,digest", [
         (20261019, 100_000, 100_000, 1e-05,
@@ -338,7 +319,6 @@ BLOCK_GRAPHS = {
         6, [[2], [], [0, 3], [1], [], [], [4], [0, 5], []]),
     "heavy": lambda: sample_aux_lists(40, 30, 0.6, rng(2)),
     "sparse": lambda: sample_aux_lists(500, 800, 0.004, rng(3)),
-    "int32 members": lambda: sample_aux_lists(40, 30, 0.6, rng(2), int32_members=True),
 }
 
 
