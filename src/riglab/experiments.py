@@ -181,12 +181,14 @@ def run_trial(params: ModelParams, rng: np.random.Generator,
     """
     _check_coeff(small_threshold_coeff)
     check_trial_size(params.n, params.m, params.p)
+    # no component exceeds n, so clamping to n changes no small_fraction and
+    # keeps math.ceil off an infinite product
+    threshold = max(1, math.ceil(min(small_threshold_coeff * math.log(params.n), params.n)))
     t0 = time.perf_counter()
     b = sample_bipartite(params, rng)
     g, eta = project_with_excess(b)
     del b  # the bipartite graph is not needed past the projection
     c = census(g)
-    threshold = max(1, math.ceil(small_threshold_coeff * math.log(params.n)))
     elapsed = (time.perf_counter() - t0) * 1000.0
     return ExperimentRecord(
         n=params.n, beta=params.beta, gamma=params.gamma, mu=params.mu,

@@ -170,8 +170,12 @@ class SimpleGraph:
 # ---------------------------------------------------------------------------
 
 # members, pair keys or edges per block of a pass that fills or updates an
-# array block by block, so that its temporaries stay a few MB at any size
-BLOCK = 1 << 16
+# array block by block.  An int64 temporary of one block is 128 KiB, which
+# fits in L2, and a block's temporaries stay under 0.5 MiB at any size (the
+# pair keys' read 28.5 bytes per block entry).  At 2**16 they were about
+# 2 MiB, as large as a whole sweep graph at n = 10^5, and set its trial's
+# peak: 4.18 MiB against 2.74 at beta = 1.5, gamma = 1.
+BLOCK = 1 << 14
 
 
 def _blocks(size: int) -> Iterator[slice]:
@@ -237,9 +241,11 @@ def _fill_distinct(rng: np.random.Generator, n: int, d: int, first: np.ndarray) 
 
 
 # The sampler's traced peak is about 4 bytes per auxiliary and 9 per member
-# (tracemalloc at n = 10^6: m = 10^6 and 2*10^6, with 2*10^6 and 4*10^6
+# (tracemalloc at n = 10^6: m = 10^6 and 2*10^6, each with 2*10^6 and 4*10^6
 # members), so this bound on m + 1 + m*n*p keeps one bipartite graph near
 # 0.7 GB, and its member count, the last int32 offset, far below 2**31.
+# Those are its whole-array draws and offsets: the block size does not move
+# them (the same at BLOCK = 2**14 as at 2**16).
 # Arrays of 2 MiB or more get mappings of their own (riglab/_alloc.py); the
 # rest share the heap, whose high-water mark RSS holds, so none of them may
 # leave a hole, when freed, below a later, larger one (see sample_aux_lists).
@@ -328,9 +334,11 @@ def sample_bipartite(params: ModelParams, rng: np.random.Generator) -> Bipartite
 # projections
 # ---------------------------------------------------------------------------
 
-# A trial's traced peak is about 19 bytes per pair key at n = 10^6, gamma = 2
+# A trial's traced peak is about 18 bytes per pair key at n = 10^6, gamma = 2
 # and 16 at gamma = 4, and 17 per vertex (m = 1, n = 10^6 and 4*10^6), so
-# this budget on vertices plus pair keys keeps one trial under 1 GB.
+# this budget on vertices plus pair keys keeps one trial under 1 GB.  Only
+# a block's temporaries come on top of the graph and its keys; with blocks of
+# 2**16 members it read 19 bytes per pair key at gamma = 2.
 PAIR_KEY_BUDGET = 50_000_000
 
 # vertex ids of the projection and of the census are int32

@@ -442,6 +442,25 @@ class TestTrialSweepSummarize:
         assert code == 1
         assert "small_threshold_coeff" in err and coeff in err and out == ""
 
+    def test_trial_huge_threshold_coeff(self, capsys):
+        # ceil(coeff * ln n) overflowed after sampling and exited 2; the
+        # threshold is clamped to n, which no component exceeds
+        code, out, _ = run_cli(capsys, "trial", "--n", "10", "--beta", "1", "--gamma", "1",
+                               "--threshold-coeff", "1e308")
+        assert code == 0
+        assert records_from_csv(io.StringIO(out))[0].small_fraction == 1.0
+
+    def test_sweep_huge_threshold_coeff(self, capsys, tmp_path):
+        cfg_path = tmp_path / "s.json"
+        cfg_path.write_text(json.dumps({"grid": [[100, 1.0, 1.0]], "replicates": 2,
+                                        "master_seed": 1, "small_threshold_coeff": 1e308}))
+        out_path = tmp_path / "r.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg_path),
+                             "--out", str(out_path), "--workers", "1")
+        assert code == 0
+        with open(out_path) as f:
+            assert [r.small_fraction for r in records_from_csv(f)] == [1.0, 1.0]
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_sweep_workers_below_one_exits_one(self, capsys, tmp_path, workers):
         cfg_path = tmp_path / "s.json"

@@ -119,7 +119,7 @@ def hub_graphs():
 
 
 class TestCensusBlocks:
-    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    @pytest.mark.parametrize("block", [1, 3, 1 << 14, 1 << 16])
     def test_any_block_size(self, monkeypatch, block):
         graphs = [oracle.simple_from_edges(1, []), oracle.simple_from_edges(7, []),
                   oracle.simple_from_edges(4, [(2, 3)]), *hub_graphs(),

@@ -17,22 +17,30 @@ from riglab.model import (_pair_keys, derive_params, project_simple, project_wit
                           sample_aux_lists, sample_bipartite)
 
 # traced peak bytes of one run_trial per pair key (distinct edges + eta) at
-# n = 2e5, beta = 1, by gamma: 23.4 at gamma = 2 and 16.5 at gamma = 4, where
+# n = 2e5, beta = 1, by gamma: 19.4 at gamma = 2 and 15.9 at gamma = 4, where
 # the edges are int32 pairs written over their sorted keys; a u, v copy beside
 # the keys would add 8 bytes per edge (it read 33.8 and 32.0 with int64 u, v),
-# and at gamma = 2 it read 25.3 with int64 offsets and a dedupe mask as long
-# as the keys
-BYTES_PER_PAIR_KEY = {2.0: 24, 4.0: 17}
+# and at gamma = 2 it read 23.4 with blocks of 2**16 and 25.3 with int64
+# offsets and a dedupe mask as long as the keys
+BYTES_PER_PAIR_KEY = {2.0: 21, 4.0: 16.5}
 
 # traced peak bytes of census per vertex above its graph at n = 2e5, beta = 1,
-# gamma = 2: it read 26.0 when the sizes came from np.bincount(np.bincount(
-# parent)), an intp copy of parent, n counts and a count as long as the giant
-CENSUS_BYTES_PER_VERTEX = 20
+# gamma = 2: 15.2; it read 18.7 with blocks of 2**16, and 26.0 when the sizes
+# came from np.bincount(np.bincount(parent)), an intp copy of parent, n counts
+# and a count as long as the giant
+CENSUS_BYTES_PER_VERTEX = 17
 
 # traced peak bytes of _pair_keys beside its keys, per BLOCK entry: one
-# block's temporaries.  It read 30 at n = 10^6, beta = gamma = 1, and 183 when
-# the key count was deg @ (deg - 1) over all m int64 degrees
-PAIR_KEY_TEMP_BYTES_PER_BLOCK_ENTRY = 48
+# block's temporaries.  It read 28.5 at n = 10^6, beta = gamma = 1 (30.1 with
+# blocks of 2**16), and 183 when the key count was deg @ (deg - 1) over all m
+# int64 degrees
+PAIR_KEY_TEMP_BYTES_PER_BLOCK_ENTRY = 32
+
+# traced peak bytes of one run_trial per bipartite member at n = 10^5,
+# beta = 1.5, gamma = 1, the sweep's largest graph: 19.2, of which the graph
+# holds 12 and its pair keys 4; with blocks of 2**16 one block's temporaries
+# were as large as the graph and it read 29.3
+SWEEP_TRIAL_BYTES_PER_MEMBER = 22
 
 # glibc heap growth over one run_trial at n = 10^6, beta = 1, gamma = 2, per
 # byte of the same trial's traced peak: RSS holds the heap's high-water mark,
@@ -146,6 +154,17 @@ def traced_peak(f, *args) -> int:
         tracemalloc.stop()
 
 
+def test_sweep_trial_peak_memory_per_member():
+    # the sweep's graphs are small, so a block's temporaries, not the graph,
+    # can set a trial's peak
+    run_trial(derive_params(1000, 1.0, 2.0), np.random.default_rng(0))  # warm up
+    params = derive_params(100_000, 1.5, 1.0)
+    members = sample_bipartite(params, trial_stream(3, 0, 0)[1]).edge_count
+    assert members > 2 * model.BLOCK
+    per_member = traced_peak(run_trial, params, trial_stream(3, 0, 0)[1]) / members
+    assert per_member <= SWEEP_TRIAL_BYTES_PER_MEMBER, f"{per_member:.1f} B per member"
+
+
 def test_census_peak_memory_per_vertex():
     census(project_simple(sample_bipartite(derive_params(1000, 1.0, 2.0),
                                            np.random.default_rng(0))))  # warm up
@@ -157,7 +176,8 @@ def test_census_peak_memory_per_vertex():
 
 def test_pair_keys_peak_memory_above_keys():
     # one pair key per two auxiliaries, so that an int64 temporary as long as
-    # m (8 MB) outweighs the keys (4 MB) and the block allowance (3 MiB)
+    # m (8 MB) outweighs the keys (4 MB) and the block allowance (0.5 MiB;
+    # the block's temporaries read 0.45)
     b = sample_bipartite(derive_params(10 ** 6, 1.0, 1.0), np.random.default_rng(5))
     key_bytes = _pair_keys(b).nbytes  # also the warm-up
     assert key_bytes > 3_000_000

@@ -334,7 +334,7 @@ def assert_same_projection(got, want):
 
 
 class TestPairKeyBlocks:
-    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    @pytest.mark.parametrize("block", [1, 3, 1 << 14, 1 << 16])
     @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
     def test_any_block_size(self, monkeypatch, name, block):
         b = BLOCK_GRAPHS[name]()
