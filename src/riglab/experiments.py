@@ -259,6 +259,7 @@ def run_sweep(config: SweepConfig, workers: int = 1, live_timing: bool = False,
         records.append(rec)
         if sink is not None:
             sink.write(_csv_row(rec))
+            sink.flush()
     return SweepResult(records=tuple(records), failures=tuple(failures))
 
 

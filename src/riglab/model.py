@@ -240,12 +240,11 @@ def _fill_distinct(rng: np.random.Generator, n: int, d: int, first: np.ndarray) 
     return held
 
 
-# The sampler's traced peak is about 4 bytes per auxiliary and 9 per member
-# (tracemalloc at n = 10^6: m = 10^6 and 2*10^6, each with 2*10^6 and 4*10^6
+# The sampler's traced peak is about 4 bytes per auxiliary and 8 per member,
+# its offsets and its draws, with one block's temporaries on top (8.2 and 8.1
+# bytes per member beyond the offsets at n = m = 10^6 with 2*10^6 and 4*10^6
 # members), so this bound on m + 1 + m*n*p keeps one bipartite graph near
-# 0.7 GB, and its member count, the last int32 offset, far below 2**31.
-# Those are its whole-array draws and offsets: the block size does not move
-# them (the same at BLOCK = 2**14 as at 2**16).
+# 0.6 GB, and its member count, the last int32 offset, far below 2**31.
 # Arrays of 2 MiB or more get mappings of their own (riglab/_alloc.py); the
 # rest share the heap, whose high-water mark RSS holds, so none of them may
 # leave a hole, when freed, below a later, larger one (see sample_aux_lists).
@@ -282,43 +281,41 @@ def sample_aux_lists(n: int, m: int, p: float, rng: np.random.Generator) -> Bipa
         raise ValueError(f"p must be in [0,1], got {p}")
     _check_bipartite_size(n, m, p)
     # m = 0, p = 0 and size-0 draws below take nothing from rng.  offsets
-    # comes before the degrees, which are freed before the draws, so the
-    # draws sit right after offsets; drawn first and kept, the degrees left a
-    # hole below them (heap growth 41.0 MB against 26.3 at n = m = 10^6, with
-    # int64 offsets and every array in the heap).
+    # comes before the degrees, which are freed before the draws, so that no
+    # freed array leaves a heap hole below the draws.
     offsets = np.zeros(m + 1, dtype=np.int32)
     degrees = rng.binomial(n, p, size=m).astype(np.int64, copy=False)
     _cumsum_into(offsets, degrees)
     heavy = np.flatnonzero(degrees >= n - n // 2)  # 2d >= n, with no int64 temporary
-    # segment-major keys k*n + x over the light segments: one global sort
-    # sorts every segment, and a duplicate key names its segment as key // n.
-    # The draws become the keys, and each block of them gets its segments'
-    # bases k*n added in place, so no base array as long as the draws exists.
     light = offsets
     if heavy.size:
         degrees[heavy] = 0
         light = np.zeros(m + 1, dtype=np.int32)
         _cumsum_into(light, degrees)
     del degrees
+    # The draws become segment-major keys k*n + x over the light segments,
+    # block by block in place.  A block's keys lie in [k0*n, k1*n), so its
+    # sort sorts each of its segments, and a duplicate key names its segment
+    # as key // n.  Repairs draw in ascending segment order, then the heavy
+    # segments do: this order fixes the stream.  A repair needs only the set
+    # of its draws.
     keys = rng.integers(0, n, size=int(light[-1]))
     for k0, k1 in _aux_blocks(light):
-        keys[light[k0]:light[k1]] += np.repeat(np.arange(k0, k1, dtype=np.int64) * n,
-                                               np.diff(light[k0:k1 + 1]))
+        block = keys[light[k0]:light[k1]]
+        block += np.repeat(np.arange(k0, k1, dtype=np.int64) * n, np.diff(light[k0:k1 + 1]))
+        block.sort()
+        dirty = np.unique(block[1:][block[1:] == block[:-1]] // n)
+        np.remainder(block, n, out=block)
+        for k in dirty:
+            lo, hi = light[k], light[k + 1]
+            keys[lo:hi] = _fill_distinct(rng, n, int(hi - lo), keys[lo:hi])
     del light
-    keys.sort()
-    dirty = np.unique(keys[1:][keys[1:] == keys[:-1]] // n)
-    np.remainder(keys, n, out=keys)
     members = keys
     if heavy.size:
         is_light = np.ones(m, dtype=bool)
         is_light[heavy] = False
         members = np.empty(int(offsets[-1]), dtype=np.int64)
         members[np.repeat(is_light, np.diff(offsets))] = keys
-    # repairs draw in ascending segment order, then the heavy segments do:
-    # this order fixes the stream.  A repair needs only the set of its draws.
-    for k in dirty:
-        lo, hi = offsets[k], offsets[k + 1]
-        members[lo:hi] = _fill_distinct(rng, n, int(hi - lo), members[lo:hi])
     for k in heavy:
         lo, hi = offsets[k], offsets[k + 1]
         members[lo:hi] = np.sort(rng.permutation(n)[:hi - lo])
@@ -337,8 +334,7 @@ def sample_bipartite(params: ModelParams, rng: np.random.Generator) -> Bipartite
 # A trial's traced peak is about 18 bytes per pair key at n = 10^6, gamma = 2
 # and 16 at gamma = 4, and 17 per vertex (m = 1, n = 10^6 and 4*10^6), so
 # this budget on vertices plus pair keys keeps one trial under 1 GB.  Only
-# a block's temporaries come on top of the graph and its keys; with blocks of
-# 2**16 members it read 19 bytes per pair key at gamma = 2.
+# a block's temporaries come on top of the graph and its keys.
 PAIR_KEY_BUDGET = 50_000_000
 
 # vertex ids of the projection and of the census are int32

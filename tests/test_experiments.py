@@ -329,6 +329,20 @@ class TestRunSweep:
         records_to_csv(result.records, direct)
         assert buf.getvalue() == direct.getvalue()
 
+    def test_sink_flushed_after_each_row(self):
+        # a sweep killed mid-run keeps every row written before the kill
+        lines = []
+
+        class FlushLog(io.StringIO):
+            def flush(self):
+                lines.append(self.getvalue().count("\n"))
+                super().flush()
+
+        result = run_sweep(small_config(replicates=2), sink=FlushLog())
+        rows = len(result.records)
+        assert rows == 4
+        assert set(range(2, rows + 2)) <= set(lines)  # the header, then 1..rows rows
+
 
 class TestPhaseTransitionShape:
     def test_giant_fraction_tracks_prediction(self):

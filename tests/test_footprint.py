@@ -51,7 +51,9 @@ SWEEP_TRIAL_BYTES_PER_MEMBER = 22
 # mappings of their own (riglab/_alloc.py) the heap grows only 0.14 of the
 # traced peak, far from this bound; RSS, which also counts the mappings and
 # is what test_trial_rss_growth_near_traced_peak bounds, grows 1.09 of it
-# over three trials (1.25 with the threshold at 4 MiB).
+# over three trials (1.25 with the threshold at 4 MiB).  At n = 10^5,
+# beta = 1.5, gamma = 1, where every array stays in the heap, the heap grows
+# 1.03 of the traced peak.
 HEAP_PER_TRACED_BYTE = 1.2
 
 # traced peak bytes of sample_aux_lists(10**6, 1, 0.45) per member: one dense
@@ -245,6 +247,30 @@ from riglab.model import derive_params
 
 run_trial(derive_params(1000, 1.0, 2.0), trial_stream(3, 1, 0)[1])  # warm up
 params = derive_params(10 ** 6, 1.0, 2.0)
+before = mallinfo2().arena
+run_trial(params, trial_stream(3, 0, 0)[1])
+growth = mallinfo2().arena - before
+tracemalloc.start()
+run_trial(params, trial_stream(3, 0, 0)[1])
+print(growth / tracemalloc.get_traced_memory()[1])
+"""
+    ratio = float(run_fresh(code))
+    assert ratio <= HEAP_PER_TRACED_BYTE, f"heap grew {ratio:.3f} x the traced peak"
+
+
+@needs_mallinfo2
+def test_sweep_trial_heap_high_water_near_traced_peak():
+    # the same at the sweep's largest graph, n = 10^5, beta = 1.5, gamma = 1,
+    # where every array is under MMAP_THRESHOLD and so stays in the heap: a
+    # freed array below a later, larger one shows here as arena growth
+    code = MALLINFO2 + """
+import tracemalloc
+import riglab
+from riglab.experiments import run_trial, trial_stream
+from riglab.model import derive_params
+
+run_trial(derive_params(1000, 1.0, 2.0), trial_stream(3, 1, 0)[1])  # warm up
+params = derive_params(10 ** 5, 1.5, 1.0)
 before = mallinfo2().arena
 run_trial(params, trial_stream(3, 0, 0)[1])
 growth = mallinfo2().arena - before

@@ -110,18 +110,26 @@ class TestSampleBipartite:
         b = sample_aux_lists(5, 200, 0.9, rng(1))
         oracle.validate_bipartite(b)
 
-    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("block", [1, 3, 1 << 14, 1 << 16])
     def test_any_block_size(self, monkeypatch, block):
-        # the segment bases k*n are added to the draws block by block: any
-        # block size gives the same graph from the same stream, with heavy,
-        # repaired, empty and no lists
-        cases = [(40, 30, 0.6), (500, 800, 0.004), (20, 60, 0.3), (7, 0, 0.5), (9, 5, 0.0)]
-        want = [sample_aux_lists(n, m, p, rng(i)) for i, (n, m, p) in enumerate(cases)]
+        # each block of draws gets its segment bases, is sorted and has its
+        # duplicate segments repaired in the loop that makes it: any block
+        # size gives the same graph and leaves the stream in the same state,
+        # with heavy, repaired, empty and no lists, and repairs in several
+        # blocks of the default size
+        cases = [(40, 30, 0.6), (500, 800, 0.004), (20, 60, 0.3), (7, 0, 0.5), (9, 5, 0.0),
+                 (2000, 20000, 0.001)]
+        want = []
+        for i, (n, m, p) in enumerate(cases):
+            g = rng(i)
+            want.append((sample_aux_lists(n, m, p, g), g.bit_generator.state))
         monkeypatch.setattr(model, "BLOCK", block)
-        for i, ((n, m, p), b0) in enumerate(zip(cases, want)):
-            b = sample_aux_lists(n, m, p, rng(i))
+        for i, ((n, m, p), (b0, state)) in enumerate(zip(cases, want)):
+            g = rng(i)
+            b = sample_aux_lists(n, m, p, g)
             assert np.array_equal(b.offsets, b0.offsets)
             assert np.array_equal(b.members, b0.members)
+            assert g.bit_generator.state == state
 
     def test_fill_distinct_matches_loop_oracle(self):
         # the same subset and the same generator state after it, on 1,500
